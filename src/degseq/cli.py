@@ -7,8 +7,9 @@ is fine: ``3,2^4,1``), or one sequence per line via ``--file`` (``-`` for
 stdin).
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
-parse error. The oracle size cap can be overridden with the
-``DEGSEQ_ORACLE_CAP`` environment variable.
+parse error (an unreadable ``--file`` included). The oracle size cap can
+be overridden with the ``DEGSEQ_ORACLE_CAP`` environment variable, a
+positive integer.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ import re
 import sys
 import time
 
-from .errors import (
-    CapExceededError,
-    GoodPairNotFound,
-    NotGraphicError,
-    PlanNotApplicableError,
-)
-from .graphs import components, degree_sequence, sorted_edges, to_json_dict
+from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
+from .graphs import components, sorted_edges, to_json_dict
 from .harness import (
     GoodPairReport,
     StreamConfig,
@@ -44,6 +40,7 @@ from .rao import (
 )
 from .realization import realize, realize_bounded
 from .sequences import (
+    GraphicalityVerdict,
     IntegerSequence,
     RegularitySequence,
     erdos_gallai_check,
@@ -79,7 +76,14 @@ def _parse_cli_sequence(text: str, strip_zeros: bool) -> IntegerSequence:
 
 
 def _read_lines(path: str) -> list[str]:
-    data = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        data = sys.stdin.read()
+    else:
+        try:
+            with open(path) as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     return [line.strip() for line in data.splitlines() if line.strip()]
 
 
@@ -100,7 +104,16 @@ def _sequence_texts(args, needed: int) -> list[str]:
 
 def _oracle_cap() -> int:
     value = os.environ.get("DEGSEQ_ORACLE_CAP")
-    return int(value) if value else DEFAULT_ORACLE_CAP
+    if not value:
+        return DEFAULT_ORACLE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"DEGSEQ_ORACLE_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 def _fail(message: str) -> None:
@@ -111,8 +124,8 @@ def _fail(message: str) -> None:
 # check
 
 
-def _verdict_json(seq: IntegerSequence, prop4: bool) -> dict:
-    verdict = erdos_gallai_check(seq)
+def _verdict_json(seq: IntegerSequence, verdict: GraphicalityVerdict,
+                  prop4: bool) -> dict:
     out: dict = {"entries": list(seq.entries), "graphic": verdict.graphic}
     if not verdict.graphic:
         out["failing_index"] = verdict.failing_index
@@ -127,8 +140,8 @@ def _verdict_json(seq: IntegerSequence, prop4: bool) -> dict:
     return out
 
 
-def _verdict_lines(seq: IntegerSequence, prop4: bool) -> list[str]:
-    verdict = erdos_gallai_check(seq)
+def _verdict_lines(seq: IntegerSequence, verdict: GraphicalityVerdict,
+                   prop4: bool) -> list[str]:
     if verdict.graphic:
         lines = ["graphic"]
     elif verdict.failing_index is None:
@@ -156,12 +169,13 @@ def cmd_check(args) -> int:
         return 2
     status = 0
     for seq in sequences:
+        verdict = erdos_gallai_check(seq)
         if args.json:
-            print(json.dumps(_verdict_json(seq, args.prop4)))
+            print(json.dumps(_verdict_json(seq, verdict, args.prop4)))
         else:
-            for line in _verdict_lines(seq, args.prop4):
+            for line in _verdict_lines(seq, verdict, args.prop4):
                 print(line)
-        if not erdos_gallai_check(seq).graphic:
+        if not verdict.graphic:
             status = 1
     return status
 
@@ -245,10 +259,10 @@ def cmd_compare(args) -> int:
         d_large = _parse_cli_sequence(texts[1], args.strip_zeros)
         bound = args.bound if args.bound is not None else max(
             d_small.max_degree, d_large.max_degree)
+        cap = _oracle_cap()
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    cap = _oracle_cap()
     witness = None
     method = None
     refuted = False
@@ -319,12 +333,13 @@ def cmd_harness(args) -> int:
                            seed=args.seed, count=args.count,
                            generator=args.generator)
         stream = generate_stream(cfg)
+        oracle_cap = _oracle_cap()
     except ValueError as exc:
         _fail(str(exc))
         return 2
     start = time.perf_counter()
     try:
-        report = find_good_pair(stream, cfg.bound, oracle_cap=_oracle_cap())
+        report = find_good_pair(stream, cfg.bound, oracle_cap=oracle_cap)
     except GoodPairNotFound as exc:
         _fail(str(exc))
         return 1

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
+# Edges between vertices below this label are shared tuple objects, much as
+# CPython shares small ints. The comparison routes keep many small graphs
+# alive at once (every witness holds two), and without sharing a third of
+# their memory is copies of the same few dozen edge tuples.
+_SHARED_LABELS = 32
+_SHARED_EDGES = tuple(tuple((u, v) for v in range(_SHARED_LABELS))
+                      for u in range(_SHARED_LABELS))
+
+
+@dataclass(frozen=True, slots=True)
 class SimpleGraph:
     """An undirected graph: ``vertex_count`` vertices, edges as (u, v) with u < v."""
 
@@ -22,14 +31,23 @@ class SimpleGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
+        shared = _SHARED_EDGES
         normalized = set()
-        for u, v in self.edges:
+        for edge in self.edges:
+            u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(
                     f"edge ({u}, {v}) out of range for {self.vertex_count} vertices")
-            normalized.add((u, v) if u < v else (v, u))
+            if u > v:
+                u, v = v, u
+                edge = (u, v)
+            elif type(edge) is not tuple:
+                edge = (u, v)
+            # otherwise the caller's normalized tuple is kept, so a graph
+            # built from another graph's edges allocates no new tuples
+            normalized.add(shared[u][v] if v < _SHARED_LABELS else edge)
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @property

@@ -15,18 +15,21 @@ realization of D2. Three routes are provided:
   components; if the small graph's components embed injectively into
   distinct components of the large graph (induced embedding per part,
   chosen by maximum bipartite matching), the union of the matched images
-  is an induced copy. None is inconclusive: only one realization pair is
-  examined.
+  is an induced copy. Components keep the labels they have in their
+  realization: induced containment does not depend on labels, so no
+  canonical relabeling is needed. None is inconclusive: only one
+  realization pair is examined.
 
 Every successful route returns a :class:`RaoWitness` that can be
-revalidated independently of how it was found.
+revalidated independently of how it was found. ``canonical_form`` is
+kept as a standalone isomorphism-invariant labeling; no route uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Optional
 
 from .errors import CapExceededError
 from .graphs import (
@@ -34,7 +37,6 @@ from .graphs import (
     components_with_vertices,
     degree_sequence,
     disjoint_union,
-    sorted_edges,
     to_json_dict,
 )
 from .realization import realize, realize_bounded, require_graphic
@@ -186,7 +188,7 @@ def is_induced_subgraph(small: SimpleGraph, host: SimpleGraph,
 # Witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaoWitness:
     """An explicit induced embedding between realizations.
 
@@ -355,12 +357,11 @@ def rao_leq_sufficient(d_small: IntegerSequence, d_large: IntegerSequence,
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Connected components in canonical form, deterministically ordered.
+    """Connected components, ordered by their smallest original vertex.
 
-    ``parts[i]`` is the i-th component relabeled canonically;
-    ``source_vertices[i][p]`` is the original vertex sitting at canonical
-    position p. Parts are sorted by (vertex count, sorted edge list), so
-    isomorphic components are adjacent and identical.
+    ``parts[i]`` is the i-th component relabeled 0..k-1 in ascending order
+    of its original vertices; ``source_vertices[i][p]`` is the original
+    vertex at position p of that part.
     """
 
     parts: tuple[SimpleGraph, ...]
@@ -373,31 +374,20 @@ class ComponentDecomposition:
 
 def decompose(graph: SimpleGraph,
               max_part_vertices: int = DEFAULT_PART_CAP) -> ComponentDecomposition:
-    """Split ``graph`` into canonicalized connected components."""
-    items = []
-    for part, original in components_with_vertices(graph):
-        canon, ordering = canonical_form(part, max_vertices=max_part_vertices)
-        items.append((canon, tuple(original[i] for i in ordering)))
-    items.sort(key=lambda it: (it[0].vertex_count, sorted_edges(it[0])))
+    """Split ``graph`` into its connected components.
+
+    Raises :class:`CapExceededError` when a component has more than
+    ``max_part_vertices`` vertices, since each part later goes through
+    the exhaustive induced-subgraph search.
+    """
+    found = components_with_vertices(graph)
+    for part, _ in found:
+        if part.vertex_count > max_part_vertices:
+            raise CapExceededError(
+                f"component guard: {part.vertex_count} vertices exceeds cap"
+                f" {max_part_vertices}")
     return ComponentDecomposition(
-        tuple(p for p, _ in items), tuple(m for _, m in items))
-
-
-def _relation_embeddings(first: ComponentDecomposition,
-                         second: ComponentDecomposition,
-                         base: str, induced_cap: int
-                         ) -> list[list[Optional[tuple[int, ...]]]]:
-    table: list[list[Optional[tuple[int, ...]]]] = []
-    for part in first.parts:
-        row: list[Optional[tuple[int, ...]]] = []
-        for other in second.parts:
-            if base == "equality":
-                row.append(tuple(range(part.vertex_count)) if part == other else None)
-            else:
-                row.append(is_induced_subgraph(part, other,
-                                               max_host_vertices=induced_cap))
-        table.append(row)
-    return table
+        tuple(part for part, _ in found), tuple(original for _, original in found))
 
 
 def _maximum_matching(related: list[list[bool]], right_size: int) -> dict[int, int]:
@@ -418,35 +408,44 @@ def _maximum_matching(related: list[list[bool]], right_size: int) -> dict[int, i
     return {i: j for j, i in enumerate(match_right) if i != -1}
 
 
+def _match_parts(first: ComponentDecomposition, second: ComponentDecomposition,
+                 induced_cap: int) -> Optional[dict[int, tuple[int, tuple[int, ...]]]]:
+    """Map every part of ``first`` to a distinct part of ``second`` it embeds into.
+
+    Returns ``{i: (j, embedding)}`` with ``embedding`` an induced embedding
+    of ``first.parts[i]`` into ``second.parts[j]``, or None when no
+    injective assignment exists.
+    """
+    embeddings = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
+                   for other in second.parts]
+                  for part in first.parts]
+    related = [[e is not None for e in row] for row in embeddings]
+    matched = _maximum_matching(related, len(second.parts))
+    if len(matched) < len(first.parts):
+        return None
+    return {i: (j, embeddings[i][j]) for i, j in matched.items()}
+
+
 def higman_embeds(first: ComponentDecomposition, second: ComponentDecomposition,
-                  base: Literal["equality", "induced"] = "induced",
                   induced_cap: int = DEFAULT_PART_CAP) -> bool:
     """Can the parts of ``first`` map injectively into parts of ``second``?
 
-    Each part must relate to its image under the base order: graph
-    isomorphism for ``equality`` (canonical forms compare directly),
-    induced-subgraph containment for ``induced``. Decided by maximum
-    bipartite matching over the relation, so one small part relating to
+    Each part must be an induced subgraph of its image. Decided by maximum
+    bipartite matching over that relation, so one small part relating to
     several images never causes a false negative.
     """
-    if base not in ("equality", "induced"):
-        raise ValueError(f"unknown base order {base!r}")
-    embeddings = _relation_embeddings(first, second, base, induced_cap)
-    related = [[e is not None for e in row] for row in embeddings]
-    matched = _maximum_matching(related, len(second.parts))
-    return len(matched) == len(first.parts)
+    return _match_parts(first, second, induced_cap) is not None
 
 
 def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,
                            part_cap: int = DEFAULT_PART_CAP) -> Optional[RaoWitness]:
     """Certify d_small <= d_large by matching bounded components.
 
-    Realizes both sequences with bounded components, canonicalizes the
-    decompositions, and matches the small graph's components into
-    distinct components of the large graph under induced containment.
-    Matched full components form an induced image, giving an explicit
-    witness. None is inconclusive: only this one realization pair is
-    examined.
+    Realizes both sequences with bounded components, decomposes both
+    graphs, and matches the small graph's components into distinct
+    components of the large graph under induced containment. Matched full
+    components form an induced image, giving an explicit witness. None is
+    inconclusive: only this one realization pair is examined.
     """
     require_graphic(d_small)
     require_graphic(d_large)
@@ -454,14 +453,11 @@ def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,
     large_graph = realize_bounded(d_large)
     small_parts = decompose(small_graph, max_part_vertices=part_cap)
     large_parts = decompose(large_graph, max_part_vertices=part_cap)
-    embeddings = _relation_embeddings(small_parts, large_parts, "induced", part_cap)
-    related = [[e is not None for e in row] for row in embeddings]
-    matched = _maximum_matching(related, len(large_parts.parts))
-    if len(matched) < len(small_parts.parts):
+    matched = _match_parts(small_parts, large_parts, part_cap)
+    if matched is None:
         return None
     mapping = [-1] * small_graph.vertex_count
-    for i, j in matched.items():
-        part_embedding = embeddings[i][j]
+    for i, (j, part_embedding) in matched.items():
         for pos, vertex in enumerate(small_parts.source_vertices[i]):
             mapping[vertex] = large_parts.source_vertices[j][part_embedding[pos]]
     return RaoWitness(small_graph, large_graph, tuple(mapping))

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from degseq import cli
 from degseq.cli import main
 from degseq.graphs import from_edge_list_text, from_json_dict
 from degseq.rao import RaoWitness
@@ -95,6 +96,22 @@ class TestCheck:
         code, out, _ = run_cli("check", "--file", str(path))
         assert code == 0
         assert out == "graphic\ngraphic\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--prop4",)])
+    def test_one_erdos_gallai_check_per_line(self, tmp_path, monkeypatch, flags):
+        path = tmp_path / "seqs.txt"
+        path.write_text("2,2,2\n3,3,1,1\n1,1,1\n")
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return real(seq)
+
+        real = cli.erdos_gallai_check
+        monkeypatch.setattr(cli, "erdos_gallai_check", counted)
+        code, _, _ = run_cli("check", *flags, "--file", str(path))
+        assert code == 1
+        assert [list(seq.entries) for seq in calls] == [[2, 2, 2], [3, 3, 1, 1], [1, 1, 1]]
 
 
 class TestRealize:
@@ -284,6 +301,31 @@ class TestUsage:
         code, _, err = run_cli("check")
         assert code == 2
         assert "no sequence" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("argv", [
+        ("compare", "1,1", "2,2,2"),
+        ("harness", "-N", "2", "--count", "20"),
+        ("antichain", "-N", "2"),
+    ])
+    def test_bad_oracle_cap_env(self, monkeypatch, value, argv):
+        monkeypatch.setenv("DEGSEQ_ORACLE_CAP", value)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: DEGSEQ_ORACLE_CAP must be a positive integer,"
+                       f" got {value!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("realize",), ("realize-bounded",), ("regularity",),
+        ("regularity", "--decode"), ("compare",),
+    ])
+    def test_unreadable_file(self, tmp_path, argv):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            code, out, err = run_cli(*argv, "--file", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot read {path}: ")
 
     def test_compare_needs_two_sequences(self):
         code, _, _ = run_cli("compare", "1,1")

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -225,12 +225,16 @@ class TestSufficient:
 
 
 class TestDecompose:
-    def test_parts_sorted_and_canonical(self):
-        g = disjoint_union(disjoint_union(C4, K3), K3)
+    def test_parts_ordered_by_smallest_vertex(self):
+        # relabel so that components interleave: C4 on {0,2,5,7}, K3 on
+        # {1,4,6}, K3 on {3,8,9}
+        g = relabeled(disjoint_union(disjoint_union(C4, K3), K3),
+                      [0, 2, 5, 7, 1, 4, 6, 3, 8, 9])
         decomposition = decompose(g)
-        sizes = [p.vertex_count for p in decomposition.parts]
-        assert sizes == [3, 3, 4]
-        assert decomposition.parts[0] == decomposition.parts[1]
+        assert decomposition.source_vertices == ((0, 2, 5, 7), (1, 4, 6), (3, 8, 9))
+        assert [p.vertex_count for p in decomposition.parts] == [4, 3, 3]
+        assert list(zip(decomposition.parts, decomposition.source_vertices)) == \
+            components_with_vertices(g)
 
     def test_source_vertices_track_originals(self):
         g = disjoint_union(K3, C4)
@@ -249,28 +253,22 @@ class TestDecompose:
 
 class TestHigmanEmbeds:
     def test_sub_multiset_equality(self):
-        assert higman_embeds(decompose(K3), decompose(disjoint_union(K3, C4)),
-                             base="equality")
+        assert higman_embeds(decompose(K3), decompose(disjoint_union(K3, C4)))
 
     def test_multiplicity_matters(self):
         assert not higman_embeds(decompose(disjoint_union(K3, K3)),
-                                 decompose(disjoint_union(K3, C4)),
-                                 base="equality")
+                                 decompose(disjoint_union(K3, C4)))
 
     def test_induced_base(self):
-        assert higman_embeds(decompose(P3), decompose(C5), base="induced")
-        assert not higman_embeds(decompose(K3), decompose(C5), base="induced")
+        assert higman_embeds(decompose(P3), decompose(C5))
+        assert not higman_embeds(decompose(K3), decompose(C5))
 
     def test_matching_avoids_greedy_trap(self):
         # the edge relates to both parts; a greedy scan that eats the
         # triangle's only image first would fail, matching must not
         first = decompose(disjoint_union(graph_from_edges(2, [(0, 1)]), K3))
         second = decompose(disjoint_union(K3, C4))
-        assert higman_embeds(first, second, base="induced")
-
-    def test_unknown_base_rejected(self):
-        with pytest.raises(ValueError):
-            higman_embeds(decompose(K3), decompose(K3), base="isomorphic")
+        assert higman_embeds(first, second)
 
 
 class TestViaComponents:
@@ -293,6 +291,16 @@ class TestViaComponents:
         d1, d2 = parse_sequence([2, 2, 2]), parse_sequence([2] * 9)
         assert rao_leq_sufficient(d1, d2, 2) is not None
         assert rao_leq_via_components(d1, d2) is None
+
+    def test_parts_beyond_canonical_labeling_reach(self):
+        # the bounded realization of 3^28 has 18-vertex components; matching
+        # them needs no canonical labeling, so a raised part cap is cheap
+        d1, d2 = parse_sequence([3] * 10), parse_sequence([3] * 28)
+        with pytest.raises(CapExceededError):
+            rao_leq_via_components(d1, d2)
+        witness = rao_leq_via_components(d1, d2, part_cap=27)
+        assert witness is not None
+        assert witness.validates(d1, d2)
 
     def test_found_embeddings_recheck_against_oracle(self):
         small_sequences = list(enumerate_graphic(2, 6))
