@@ -31,13 +31,14 @@ from .harness import (
     enumerate_graphic,
     find_good_pair,
     generate_stream,
-    mine_antichain,
     report_to_json,
 )
 from .rao import (
     ComponentDecomposition,
+    Outcome,
     RaoWitness,
     canonical_form,
+    compare,
     decompose,
     higman_embeds,
     is_induced_subgraph,
@@ -74,6 +75,7 @@ __all__ = [
     "GraphicalityVerdict",
     "IntegerSequence",
     "NotGraphicError",
+    "Outcome",
     "PlanNotApplicableError",
     "RaoWitness",
     "RealizationPlan",
@@ -82,6 +84,7 @@ __all__ = [
     "StreamConfig",
     "adjacency",
     "canonical_form",
+    "compare",
     "components",
     "decompose",
     "degree_sequence",
@@ -99,7 +102,6 @@ __all__ = [
     "is_induced_subgraph",
     "labeled_realizations",
     "leq_pointwise",
-    "mine_antichain",
     "parse_sequence",
     "plan_bounded",
     "rao_leq_oracle",

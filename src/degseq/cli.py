@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, realize, realize-bounded, regularity, compare,
-harness, antichain. Sequences are given as comma- or whitespace-separated
-integers with optional power notation (``2^12`` means twelve 2s, mixing
-is fine: ``3,2^4,1``), or one sequence per line via ``--file`` (``-`` for
-stdin).
+harness. Sequences are given as comma- or whitespace-separated integers
+with optional power notation (``2^12`` means twelve 2s, mixing is fine:
+``3,2^4,1``; a sequence may expand to at most ten million entries), or
+one sequence per line via ``--file`` (``-`` for stdin).
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
 parse error (an unreadable ``--file`` included). The oracle size cap can
@@ -21,23 +21,16 @@ import re
 import sys
 import time
 
-from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
+from .errors import GoodPairNotFound, NotGraphicError
 from .graphs import components, sorted_edges, to_json_dict
 from .harness import (
     GoodPairReport,
     StreamConfig,
     find_good_pair,
     generate_stream,
-    mine_antichain,
     report_to_json,
 )
-from .rao import (
-    DEFAULT_ORACLE_CAP,
-    rao_leq_oracle,
-    rao_leq_sufficient,
-    rao_leq_via_components,
-    witness_to_json,
-)
+from .rao import DEFAULT_ORACLE_CAP, ROUTES, compare, witness_to_json
 from .realization import realize, realize_bounded
 from .sequences import (
     GraphicalityVerdict,
@@ -52,6 +45,9 @@ from .sequences import (
 )
 
 _POWER = re.compile(r"^(-?\d+)\^(\d+)$")
+# Power notation can ask for any length; a sequence longer than this is
+# refused before its list is built.
+_MAX_ENTRIES = 10 ** 7
 
 
 def _expand_tokens(text: str) -> list[int]:
@@ -59,7 +55,11 @@ def _expand_tokens(text: str) -> list[int]:
     for token in text.replace(",", " ").split():
         match = _POWER.match(token)
         if match:
-            entries.extend([int(match.group(1))] * int(match.group(2)))
+            copies = int(match.group(2))
+            if len(entries) + copies > _MAX_ENTRIES:
+                raise ValueError(
+                    f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
+            entries.extend([int(match.group(1))] * copies)
             continue
         try:
             entries.append(int(token))
@@ -263,62 +263,38 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    witness = None
-    method = None
-    refuted = False
+    methods = ROUTES if args.method == "auto" else (args.method,)
     try:
-        if args.method in ("sufficient", "auto"):
-            witness = rao_leq_sufficient(d_small, d_large, bound)
-            method = "sufficient"
-        if witness is None and args.method in ("components", "auto"):
-            try:
-                witness = rao_leq_via_components(d_small, d_large)
-                method = "components"
-            except CapExceededError:
-                if args.method == "components":
-                    raise
-        if witness is None and args.method in ("oracle", "auto"):
-            if d_large.n > cap:
-                if args.method == "oracle":
-                    raise CapExceededError(
-                        f"oracle guard: {d_large.n} vertices exceeds cap {cap}")
-            else:
-                witness = rao_leq_oracle(d_small, d_large, max_vertices=cap)
-                method = "oracle"
-                refuted = witness is None
+        outcome = compare(d_small, d_large, bound, methods=methods, oracle_cap=cap)
     except NotGraphicError as exc:
         _fail(str(exc))
         return 1
-    except (CapExceededError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
         return 2
+    if len(methods) == 1 and outcome.refusals:
+        _fail(outcome.refusals[-1])
+        return 2
 
-    if witness is not None:
-        result = "holds"
-    elif refuted:
-        result = "does_not_hold"
-    else:
-        result = "inconclusive"
     if args.json:
         payload = {
-            "result": result,
-            "method": method if witness is not None or refuted else None,
-            "witness": (witness_to_json(d_small, d_large, witness)
-                        if witness is not None else None),
+            "result": outcome.result,
+            "method": outcome.method,
+            "witness": (witness_to_json(d_small, d_large, outcome.witness)
+                        if outcome.witness is not None else None),
         }
         print(json.dumps(payload, indent=2))
+    elif outcome.result == "holds":
+        print(f"holds ({outcome.method})")
+    elif outcome.result == "does_not_hold":
+        print("does not hold (oracle)")
     else:
-        if result == "holds":
-            print(f"holds ({method})")
-        elif result == "does_not_hold":
-            print("does not hold (oracle)")
-        else:
-            print("inconclusive")
-    return 0 if result == "holds" else 1
+        print("inconclusive")
+    return 0 if outcome.result == "holds" else 1
 
 
 # ---------------------------------------------------------------------------
-# harness / antichain
+# harness
 
 
 def _summary_line(report: GoodPairReport) -> str:
@@ -354,20 +330,6 @@ def cmd_harness(args) -> int:
         if args.timing:
             line += f" elapsed_ms={elapsed_ms:.3f}"
         print(line)
-    return 0
-
-
-def cmd_antichain(args) -> int:
-    try:
-        found = mine_antichain(args.bound, args.max_length, oracle_cap=_oracle_cap())
-    except (CapExceededError, ValueError) as exc:
-        _fail(str(exc))
-        return 2
-    if args.json:
-        print(json.dumps({"antichain": [list(seq.entries) for seq in found]}))
-    else:
-        for seq in found:
-            print(str(seq))
     return 0
 
 
@@ -433,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     har.add_argument("--timing", action="store_true",
                      help="include elapsed time (breaks run-to-run byte equality)")
     har.set_defaults(handler=cmd_harness)
-
-    anti = subs.add_parser("antichain", help="mine pairwise-incomparable sequences")
-    anti.add_argument("-N", "--bound", type=int, required=True)
-    anti.add_argument("--max-length", type=int, default=6)
-    anti.add_argument("--json", action="store_true", help="emit JSON")
-    anti.set_defaults(handler=cmd_antichain)
     return parser
 
 

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Literal
 
-from .errors import CapExceededError, GoodPairNotFound
-from .rao import (
-    DEFAULT_ORACLE_CAP,
-    DEFAULT_PART_CAP,
-    RaoWitness,
-    rao_leq_oracle,
-    rao_leq_sufficient,
-    rao_leq_via_components,
-    witness_to_json,
-)
+from .errors import GoodPairNotFound
+from .rao import DEFAULT_ORACLE_CAP, RaoWitness, compare, witness_to_json
 from .sequences import IntegerSequence, erdos_gallai_check
 
 
@@ -136,37 +128,22 @@ def report_to_json(report: GoodPairReport) -> dict:
 
 
 def find_good_pair(stream: list[IntegerSequence], bound: int,
-                   oracle_cap: int = DEFAULT_ORACLE_CAP,
-                   part_cap: int = DEFAULT_PART_CAP) -> GoodPairReport:
+                   oracle_cap: int = DEFAULT_ORACLE_CAP) -> GoodPairReport:
     """Scan for the earliest good pair: increasing j, then increasing i.
 
-    For each candidate pair the cheap constructive test runs first, then
-    the component-matching test, then the exact oracle when the right
-    sequence fits under ``oracle_cap``. Size-guard refusals are treated
-    as inconclusive and the scan moves on. The first witness wins and is
-    revalidated before being reported.
+    Each candidate pair goes through :func:`degseq.rao.compare`: the cheap
+    constructive test first, then the component-matching test, then the
+    exact oracle when the right sequence fits under ``oracle_cap``.
+    Size-guard refusals are treated as inconclusive and the scan moves
+    on. The first witness wins and is revalidated before being reported.
 
     Raises :class:`GoodPairNotFound` when the prefix has no good pair.
     """
     for j in range(1, len(stream)):
         for i in range(j):
             d_i, d_j = stream[i], stream[j]
-            witness = None
-            method = None
-            try:
-                witness = rao_leq_sufficient(d_i, d_j, bound)
-                method = "sufficient"
-            except CapExceededError:
-                witness = None
-            if witness is None:
-                try:
-                    witness = rao_leq_via_components(d_i, d_j, part_cap=part_cap)
-                    method = "components"
-                except CapExceededError:
-                    witness = None
-            if witness is None and d_j.n <= oracle_cap:
-                witness = rao_leq_oracle(d_i, d_j, max_vertices=oracle_cap)
-                method = "oracle"
+            outcome = compare(d_i, d_j, bound, oracle_cap=oracle_cap)
+            witness, method = outcome.witness, outcome.method
             if witness is not None:
                 if not witness.validates(d_i, d_j):
                     raise RuntimeError(
@@ -174,26 +151,3 @@ def find_good_pair(stream: list[IntegerSequence], bound: int,
                         f" ({d_i}, {d_j})")
                 return GoodPairReport(i, j, method, witness, j + 1, d_i, d_j)
     raise GoodPairNotFound(len(stream))
-
-
-def mine_antichain(bound: int, max_length: int,
-                   oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[IntegerSequence]:
-    """Greedy pairwise-incomparable set over the enumeration order.
-
-    Every kept sequence is oracle-incomparable (both directions) with all
-    earlier keeps, so the result is an antichain that no enumerated
-    sequence can extend. Parameters are limited to keep the oracle total.
-    """
-    if bound > 3 or max_length > 8:
-        raise CapExceededError(
-            f"antichain mining needs bound <= 3 and max_length <= 8,"
-            f" got {bound} and {max_length}")
-    kept: list[IntegerSequence] = []
-    for candidate in enumerate_graphic(bound, max_length):
-        incomparable = all(
-            rao_leq_oracle(candidate, other, max_vertices=oracle_cap) is None
-            and rao_leq_oracle(other, candidate, max_vertices=oracle_cap) is None
-            for other in kept)
-        if incomparable:
-            kept.append(candidate)
-    return kept

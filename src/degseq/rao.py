@@ -20,16 +20,18 @@ realization of D2. Three routes are provided:
   canonical relabeling is needed. None is inconclusive: only one
   realization pair is examined.
 
-Every successful route returns a :class:`RaoWitness` that can be
-revalidated independently of how it was found. ``canonical_form`` is
-kept as a standalone isomorphism-invariant labeling; no route uses it.
+``compare`` runs the routes in order and returns the first decision
+as an :class:`Outcome`. Every successful route returns a
+:class:`RaoWitness` that can be revalidated independently of how it was
+found. ``canonical_form`` is kept as a standalone isomorphism-invariant
+labeling; no route uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Literal, Optional
 
 from .errors import CapExceededError
 from .graphs import (
@@ -52,6 +54,7 @@ from .sequences import (
 DEFAULT_ORACLE_CAP = 8
 DEFAULT_INDUCED_CAP = 10
 DEFAULT_PART_CAP = 16
+ROUTES = ("sufficient", "components", "oracle")
 
 
 def _adjacency_masks(graph: SimpleGraph) -> list[int]:
@@ -461,3 +464,56 @@ def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,
         for pos, vertex in enumerate(small_parts.source_vertices[i]):
             mapping[vertex] = large_parts.source_vertices[j][part_embedding[pos]]
     return RaoWitness(small_graph, large_graph, tuple(mapping))
+
+
+# ---------------------------------------------------------------------------
+# The comparison cascade
+
+
+@dataclass(frozen=True, slots=True)
+class Outcome:
+    """The verdict of :func:`compare`.
+
+    ``method`` names the route that decided (None when inconclusive) and
+    ``refusals`` holds, in route order, the message of every size guard
+    that stopped a route.
+    """
+
+    result: Literal["holds", "does_not_hold", "inconclusive"]
+    method: Optional[str]
+    witness: Optional[RaoWitness]
+    refusals: tuple[str, ...]
+
+
+def compare(d_small: IntegerSequence, d_large: IntegerSequence, bound: int, *,
+            methods: tuple[str, ...] = ROUTES,
+            oracle_cap: int = DEFAULT_ORACLE_CAP) -> Outcome:
+    """Decide d_small <= d_large by running the routes in ``methods`` in order.
+
+    The first route that returns a witness decides "holds"; only the
+    oracle decides "does_not_hold". A route whose size guard raises
+    :class:`CapExceededError` is recorded in ``Outcome.refusals`` and the
+    cascade moves on. ``bound`` is the shared degree bound of the
+    sufficient route. :class:`NotGraphicError` and the sufficient route's
+    ValueError for a bound below a maximum entry propagate.
+    """
+    routes = {
+        "sufficient": lambda: rao_leq_sufficient(d_small, d_large, bound),
+        "components": lambda: rao_leq_via_components(d_small, d_large),
+        "oracle": lambda: rao_leq_oracle(d_small, d_large, max_vertices=oracle_cap),
+    }
+    unknown = [m for m in methods if m not in routes]
+    if unknown:
+        raise ValueError(f"unknown comparison method(s): {', '.join(unknown)}")
+    refusals: list[str] = []
+    for method in methods:
+        try:
+            witness = routes[method]()
+        except CapExceededError as exc:
+            refusals.append(str(exc))
+            continue
+        if witness is not None:
+            return Outcome("holds", method, witness, tuple(refusals))
+        if method == "oracle":
+            return Outcome("does_not_hold", method, None, tuple(refusals))
+    return Outcome("inconclusive", None, None, tuple(refusals))

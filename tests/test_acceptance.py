@@ -147,7 +147,7 @@ def test_criterion_7_cli_output_is_byte_identical_across_runs():
         ["compare", "2,2,2", "2,2,2,2", "--method", "oracle"],
         ["harness", "-N", "2", "--count", "50", "--seed", "7", "--json"],
         ["harness", "-N", "3", "--count", "100", "--seed", "42"],
-        ["antichain", "-N", "2", "--max-length", "6", "--json"],
+        ["compare", "--json", "1,1", "2,2,2,2,2"],
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -3,6 +3,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degseq import cli
 from degseq.cli import main
@@ -76,6 +78,21 @@ class TestCheck:
         assert code == 0
         _, out_mixed, _ = run_cli("check", "3,2^4,1")
         assert out_mixed == "graphic\n"
+
+    @pytest.mark.parametrize("text", ["2^100000000000000000000", "1^10000001"])
+    def test_power_notation_ceiling(self, text):
+        code, out, err = run_cli("check", text)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: sequence expands past 10000000 entries"
+                       f" at token {text!r}\n")
+
+    def test_power_ceiling_counts_the_whole_sequence(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        assert run_cli("check", "1^2,2^4") == (0, "graphic\n", "")
+        code, _, err = run_cli("check", "1^2,2^4,1^2")
+        assert code == 2
+        assert err.startswith("error: sequence expands past 6 entries")
 
     def test_json_output(self):
         _, out, _ = run_cli("check", "--json", "3,3,1,1")
@@ -220,6 +237,15 @@ class TestCompare:
         assert code == 1
         assert "not graphic" in err
 
+    @pytest.mark.parametrize("method", ["auto", "sufficient", "components", "oracle"])
+    def test_non_graphic_input_under_every_method(self, method):
+        # graphicality is checked before any size guard, so the oracle's cap
+        # (12 > 8 vertices) does not mask the verdict
+        code, out, err = run_cli("compare", "3,1", "2^12", "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err == "error: sequence 3,1 is not graphic (k=1: 3 > 1)\n"
+
     def test_json_witness_revalidates(self):
         _, out, _ = run_cli("compare", "--json", "1,1", "1,1,1,1")
         data = json.loads(out)
@@ -272,22 +298,6 @@ class TestHarnessCommand:
         assert "elapsed_ms" in json.loads(out)
 
 
-class TestAntichainCommand:
-    def test_lists_antichain(self):
-        code, out, _ = run_cli("antichain", "-N", "2", "--max-length", "6")
-        assert code == 0
-        assert out == "1,1\n"
-
-    def test_json(self):
-        _, out, _ = run_cli("antichain", "-N", "1", "--max-length", "4", "--json")
-        assert json.loads(out) == {"antichain": [[1, 1]]}
-
-    def test_guard(self):
-        code, _, err = run_cli("antichain", "-N", "4")
-        assert code == 2
-        assert "antichain" in err
-
-
 class TestUsage:
     def test_missing_subcommand(self):
         code, _, _ = run_cli()
@@ -306,7 +316,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ("compare", "1,1", "2,2,2"),
         ("harness", "-N", "2", "--count", "20"),
-        ("antichain", "-N", "2"),
+        ("compare", "1,1", "2,2,2", "--method", "oracle"),
     ])
     def test_bad_oracle_cap_env(self, monkeypatch, value, argv):
         monkeypatch.setenv("DEGSEQ_ORACLE_CAP", value)
@@ -330,3 +340,24 @@ class TestUsage:
     def test_compare_needs_two_sequences(self):
         code, _, _ = run_cli("compare", "1,1")
         assert code == 2
+
+
+_TOKENS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.builds("{}^{}".format, st.integers(0, 12), st.integers(0, 12)),
+    st.sampled_from(["^", "1^", "2^-1", "1e2", "x", ",", ""]),
+)
+_TEXTS = st.lists(_TOKENS, max_size=8).map(",".join)
+_COMMANDS = st.sampled_from([
+    ("check",), ("realize",), ("realize-bounded",), ("regularity",),
+    ("regularity", "--decode"), ("compare", "--method", "sufficient"),
+])
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @given(command=_COMMANDS, texts=st.lists(_TEXTS, min_size=1, max_size=2))
+    @example(command=("check",), texts=["2^100000000000000000000"])
+    def test_no_traceback_and_a_known_exit_code(self, command, texts):
+        code, _, _ = run_cli(*command, *texts)
+        assert code in (0, 1, 2)

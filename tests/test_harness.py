@@ -1,12 +1,11 @@
 import pytest
 
-from degseq.errors import CapExceededError, GoodPairNotFound
+from degseq.errors import GoodPairNotFound
 from degseq.harness import (
     StreamConfig,
     enumerate_graphic,
     find_good_pair,
     generate_stream,
-    mine_antichain,
     report_to_json,
 )
 from degseq.rao import rao_leq_oracle
@@ -119,28 +118,3 @@ class TestFindGoodPair:
                     continue
                 if report.method == "sufficient":
                     assert rao_leq_oracle(d1, d2) is not None
-
-
-class TestMineAntichain:
-    def test_one_regular_world_collapses(self):
-        assert [s.entries for s in mine_antichain(1, 6)] == [(1, 1)]
-
-    def test_everything_contains_a_single_edge(self):
-        # (1,1) embeds into every graphic sequence's realization, so the
-        # greedy antichain over enumeration order is exactly {(1,1)}
-        assert [s.entries for s in mine_antichain(2, 6)] == [(1, 1)]
-        assert [s.entries for s in mine_antichain(3, 5)] == [(1, 1)]
-
-    def test_output_is_pairwise_incomparable(self):
-        kept = mine_antichain(2, 6)
-        for a in kept:
-            for b in kept:
-                if a is b:
-                    continue
-                assert rao_leq_oracle(a, b) is None
-
-    def test_parameter_guard(self):
-        with pytest.raises(CapExceededError):
-            mine_antichain(4, 6)
-        with pytest.raises(CapExceededError):
-            mine_antichain(2, 9)

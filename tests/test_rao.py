@@ -15,8 +15,10 @@ from degseq.graphs import (
 )
 from degseq.harness import enumerate_graphic
 from degseq.rao import (
+    ROUTES,
     RaoWitness,
     canonical_form,
+    compare,
     decompose,
     higman_embeds,
     is_induced_subgraph,
@@ -370,3 +372,42 @@ class TestWitnessAlgebra:
         d_big = parse_sequence(degree_sequence(bigger))
         # maps a triangle vertex next to an edge endpoint: adjacency broken
         assert not RaoWitness(g, bigger, (0, 1, 3)).validates(d, d_big)
+
+
+class TestCompare:
+    def test_verdicts_match_the_oracle(self):
+        universe = list(enumerate_graphic(3, 6))
+        for a in universe:
+            for b in universe:
+                if a.n > b.n:
+                    continue
+                outcome = compare(a, b, 3)
+                expected = rao_leq_oracle(a, b)
+                assert (outcome.result == "holds") == (expected is not None), (a, b)
+                if outcome.result == "holds":
+                    assert outcome.method in ROUTES
+                    assert outcome.witness.validates(a, b)
+                else:
+                    assert outcome.result == "does_not_hold"
+                    assert outcome.method == "oracle"
+                    assert outcome.witness is None
+
+    def test_refusal_is_recorded(self):
+        outcome = compare(parse_sequence([3] * 10), parse_sequence([3] * 28), 3,
+                          methods=("components",))
+        assert outcome.result == "inconclusive"
+        assert outcome.method is None
+        assert outcome.witness is None
+        assert outcome.refusals == ("component guard: 18 vertices exceeds cap 16",)
+
+    def test_refusal_then_later_route_decides(self):
+        outcome = compare(parse_sequence([3] * 10), parse_sequence([3] * 28), 3,
+                          methods=("components", "sufficient"))
+        assert outcome.result == "holds"
+        assert outcome.method == "sufficient"
+        assert outcome.refusals == ("component guard: 18 vertices exceeds cap 16",)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown comparison method"):
+            compare(parse_sequence([1, 1]), parse_sequence([1, 1]), 1,
+                    methods=("sufficient", "nope"))
