@@ -34,7 +34,6 @@ from .harness import (
     report_to_json,
 )
 from .rao import (
-    ComponentDecomposition,
     Outcome,
     RaoWitness,
     canonical_form,
@@ -69,7 +68,6 @@ from .sequences import (
 
 __all__ = [
     "CapExceededError",
-    "ComponentDecomposition",
     "GoodPairNotFound",
     "GoodPairReport",
     "GraphicalityVerdict",

@@ -4,7 +4,8 @@ Subcommands: check, realize, realize-bounded, regularity, compare,
 harness. Sequences are given as comma- or whitespace-separated integers
 with optional power notation (``2^12`` means twelve 2s, mixing is fine:
 ``3,2^4,1``; a sequence may expand to at most ten million entries), or
-one sequence per line via ``--file`` (``-`` for stdin).
+one sequence per line via ``--file`` (``-`` for stdin). The same ceiling
+holds for degree bounds, decoded count vectors and harness streams.
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
 parse error (an unreadable ``--file`` included). The oracle size cap can
@@ -22,7 +23,7 @@ import sys
 import time
 
 from .errors import GoodPairNotFound, NotGraphicError
-from .graphs import components, sorted_edges, to_json_dict
+from .graphs import components, to_edge_list_text, to_json_dict
 from .harness import (
     GoodPairReport,
     StreamConfig,
@@ -45,9 +46,15 @@ from .sequences import (
 )
 
 _POWER = re.compile(r"^(-?\d+)\^(\d+)$")
-# Power notation can ask for any length; a sequence longer than this is
-# refused before its list is built.
+# Power notation, count vectors, degree bounds and stream sizes can ask for
+# any amount of memory; a request past this many entries is refused before
+# anything is built.
 _MAX_ENTRIES = 10 ** 7
+
+
+def _within_ceiling(size: int, what: str) -> None:
+    if size > _MAX_ENTRIES:
+        raise ValueError(f"{what} {size} is above the ceiling of {_MAX_ENTRIES} entries")
 
 
 def _expand_tokens(text: str) -> list[int]:
@@ -55,11 +62,14 @@ def _expand_tokens(text: str) -> list[int]:
     for token in text.replace(",", " ").split():
         match = _POWER.match(token)
         if match:
-            copies = int(match.group(2))
+            try:
+                entry, copies = int(match.group(1)), int(match.group(2))
+            except ValueError:  # more digits than int() accepts
+                raise ValueError(f"cannot parse token {token!r}") from None
             if len(entries) + copies > _MAX_ENTRIES:
                 raise ValueError(
                     f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
-            entries.extend([int(match.group(1))] * copies)
+            entries.extend([entry] * copies)
             continue
         try:
             entries.append(int(token))
@@ -206,9 +216,7 @@ def cmd_realize(args) -> int:
             payload["bound"] = bound
         print(json.dumps(payload, indent=2))
     else:
-        print(f"p {graph.vertex_count}")
-        for u, v in sorted_edges(graph):
-            print(f"{u} {v}")
+        print(to_edge_list_text(graph), end="")
         if bounded:
             print(f"c components: {' '.join(str(s) for s in sizes)}")
             print(f"c bound: {bound}")
@@ -226,6 +234,7 @@ def cmd_regularity(args) -> int:
             descending = _expand_tokens(text)
             if any(c < 0 for c in descending):
                 raise ValueError("counts must be nonnegative")
+            _within_ceiling(sum(descending), "count vector total")
             counts = RegularitySequence(tuple(descending[::-1]))
             seq = from_regularity(counts)
             if args.json:
@@ -236,6 +245,7 @@ def cmd_regularity(args) -> int:
         text = _sequence_texts(args, needed=1)[0]
         seq = _parse_cli_sequence(text, args.strip_zeros)
         bound = args.bound if args.bound is not None else seq.max_degree
+        _within_ceiling(bound, "degree bound")
         counts = to_regularity(seq, bound)
     except ValueError as exc:
         _fail(str(exc))
@@ -257,6 +267,8 @@ def cmd_compare(args) -> int:
         texts = _sequence_texts(args, needed=2)
         d_small = _parse_cli_sequence(texts[0], args.strip_zeros)
         d_large = _parse_cli_sequence(texts[1], args.strip_zeros)
+        if args.bound is not None:
+            _within_ceiling(args.bound, "degree bound")
         bound = args.bound if args.bound is not None else max(
             d_small.max_degree, d_large.max_degree)
         cap = _oracle_cap()
@@ -308,6 +320,8 @@ def cmd_harness(args) -> int:
         cfg = StreamConfig(bound=args.bound, max_length=args.max_length,
                            seed=args.seed, count=args.count,
                            generator=args.generator)
+        _within_ceiling(cfg.bound, "degree bound")
+        _within_ceiling(cfg.count * cfg.max_length, "--count * --max-length")
         stream = generate_stream(cfg)
         oracle_cap = _oracle_cap()
     except ValueError as exc:

@@ -99,30 +99,34 @@ def components_with_vertices(graph: SimpleGraph) -> list[tuple[SimpleGraph, tupl
     ordered by their smallest original vertex.
     """
     neigh = adjacency(graph)
-    seen = [False] * graph.vertex_count
-    out: list[tuple[SimpleGraph, tuple[int, ...]]] = []
+    component = [-1] * graph.vertex_count
+    position = [0] * graph.vertex_count
+    members_of: list[list[int]] = []
     for start in range(graph.vertex_count):
-        if seen[start]:
+        if component[start] >= 0:
             continue
+        label = len(members_of)
+        component[start] = label
         stack = [start]
-        seen[start] = True
         members = []
         while stack:
             v = stack.pop()
             members.append(v)
             for w in neigh[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if component[w] < 0:
+                    component[w] = label
                     stack.append(w)
         members.sort()
-        index = {v: i for i, v in enumerate(members)}
-        sub = frozenset(
-            (index[u], index[v])
-            for u, v in graph.edges
-            if u in index and v in index
-        )
-        out.append((SimpleGraph(len(members), sub), tuple(members)))
-    return out
+        for i, v in enumerate(members):
+            position[v] = i
+        members_of.append(members)
+    # u < v and positions follow ascending ids, so each relabeled edge is
+    # already normalized
+    edges_of: list[list[tuple[int, int]]] = [[] for _ in members_of]
+    for u, v in graph.edges:
+        edges_of[component[u]].append((position[u], position[v]))
+    return [(SimpleGraph(len(members), frozenset(edges)), tuple(members))
+            for members, edges in zip(members_of, edges_of)]
 
 
 def components(graph: SimpleGraph) -> list[SimpleGraph]:

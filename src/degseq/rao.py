@@ -358,30 +358,18 @@ def rao_leq_sufficient(d_small: IntegerSequence, d_large: IntegerSequence,
 # Component decomposition and multiset embedding
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Connected components, ordered by their smallest original vertex.
-
-    ``parts[i]`` is the i-th component relabeled 0..k-1 in ascending order
-    of its original vertices; ``source_vertices[i][p]`` is the original
-    vertex at position p of that part.
-    """
-
-    parts: tuple[SimpleGraph, ...]
-    source_vertices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) != len(self.source_vertices):
-            raise ValueError("parts and source_vertices must align")
+Parts = list[tuple[SimpleGraph, tuple[int, ...]]]
 
 
-def decompose(graph: SimpleGraph,
-              max_part_vertices: int = DEFAULT_PART_CAP) -> ComponentDecomposition:
+def decompose(graph: SimpleGraph, max_part_vertices: int = DEFAULT_PART_CAP) -> Parts:
     """Split ``graph`` into its connected components.
 
-    Raises :class:`CapExceededError` when a component has more than
-    ``max_part_vertices`` vertices, since each part later goes through
-    the exhaustive induced-subgraph search.
+    Returns the ``(part, vertices)`` pairs of
+    :func:`~degseq.graphs.components_with_vertices`: parts ordered by
+    their smallest original vertex, ``vertices[p]`` the original vertex at
+    position p of the part. Raises :class:`CapExceededError` when a
+    component has more than ``max_part_vertices`` vertices, since each
+    part later goes through the exhaustive induced-subgraph search.
     """
     found = components_with_vertices(graph)
     for part, _ in found:
@@ -389,55 +377,37 @@ def decompose(graph: SimpleGraph,
             raise CapExceededError(
                 f"component guard: {part.vertex_count} vertices exceeds cap"
                 f" {max_part_vertices}")
-    return ComponentDecomposition(
-        tuple(part for part, _ in found), tuple(original for _, original in found))
+    return found
 
 
-def _maximum_matching(related: list[list[bool]], right_size: int) -> dict[int, int]:
-    """Left-to-right maximum bipartite matching (augmenting paths)."""
-    match_right = [-1] * right_size
+def higman_embeds(first: Parts, second: Parts, induced_cap: int = DEFAULT_PART_CAP
+                  ) -> Optional[dict[int, tuple[int, tuple[int, ...]]]]:
+    """Map every part of ``first`` to a distinct part of ``second`` it embeds into.
+
+    Returns ``{i: (j, embedding)}`` with ``embedding`` an induced embedding
+    of part i of ``first`` into part j of ``second``, or None when no
+    injective assignment exists. Decided by maximum bipartite matching
+    (augmenting paths), so one small part relating to several images
+    never causes a false negative.
+    """
+    embeddings = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
+                   for other, _ in second]
+                  for part, _ in first]
+    match_right = [-1] * len(second)
 
     def augment(i: int, visited: list[bool]) -> bool:
-        for j in range(right_size):
-            if related[i][j] and not visited[j]:
+        for j, embedding in enumerate(embeddings[i]):
+            if embedding is not None and not visited[j]:
                 visited[j] = True
                 if match_right[j] == -1 or augment(match_right[j], visited):
                     match_right[j] = i
                     return True
         return False
 
-    for i in range(len(related)):
-        augment(i, [False] * right_size)
-    return {i: j for j, i in enumerate(match_right) if i != -1}
-
-
-def _match_parts(first: ComponentDecomposition, second: ComponentDecomposition,
-                 induced_cap: int) -> Optional[dict[int, tuple[int, tuple[int, ...]]]]:
-    """Map every part of ``first`` to a distinct part of ``second`` it embeds into.
-
-    Returns ``{i: (j, embedding)}`` with ``embedding`` an induced embedding
-    of ``first.parts[i]`` into ``second.parts[j]``, or None when no
-    injective assignment exists.
-    """
-    embeddings = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
-                   for other in second.parts]
-                  for part in first.parts]
-    related = [[e is not None for e in row] for row in embeddings]
-    matched = _maximum_matching(related, len(second.parts))
-    if len(matched) < len(first.parts):
+    # a part left unmatched now stays unmatched, so the first failure decides
+    if not all(augment(i, [False] * len(second)) for i in range(len(first))):
         return None
-    return {i: (j, embeddings[i][j]) for i, j in matched.items()}
-
-
-def higman_embeds(first: ComponentDecomposition, second: ComponentDecomposition,
-                  induced_cap: int = DEFAULT_PART_CAP) -> bool:
-    """Can the parts of ``first`` map injectively into parts of ``second``?
-
-    Each part must be an induced subgraph of its image. Decided by maximum
-    bipartite matching over that relation, so one small part relating to
-    several images never causes a false negative.
-    """
-    return _match_parts(first, second, induced_cap) is not None
+    return {i: (j, embeddings[i][j]) for j, i in enumerate(match_right) if i != -1}
 
 
 def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,
@@ -450,19 +420,18 @@ def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,
     components form an induced image, giving an explicit witness. None is
     inconclusive: only this one realization pair is examined.
     """
-    require_graphic(d_small)
-    require_graphic(d_large)
     small_graph = realize_bounded(d_small)
     large_graph = realize_bounded(d_large)
     small_parts = decompose(small_graph, max_part_vertices=part_cap)
     large_parts = decompose(large_graph, max_part_vertices=part_cap)
-    matched = _match_parts(small_parts, large_parts, part_cap)
+    matched = higman_embeds(small_parts, large_parts, part_cap)
     if matched is None:
         return None
     mapping = [-1] * small_graph.vertex_count
     for i, (j, part_embedding) in matched.items():
-        for pos, vertex in enumerate(small_parts.source_vertices[i]):
-            mapping[vertex] = large_parts.source_vertices[j][part_embedding[pos]]
+        large_vertices = large_parts[j][1]
+        for vertex, pos in zip(small_parts[i][1], part_embedding):
+            mapping[vertex] = large_vertices[pos]
     return RaoWitness(small_graph, large_graph, tuple(mapping))
 
 

@@ -10,9 +10,9 @@ the sorted sequence is cut into q = floor(n / L) chunks (the last absorbs
 the remainder), chunks with odd sum are paired in ascending order and
 merged, and every block is realized independently. Each block has even
 sum and between L and 3L entries, so its length is at least the square of
-its own largest entry and the block is guaranteed graphic; the disjoint
-union therefore realizes the input with no component larger than 3 * d1^2
-vertices.
+its own largest entry and the block is guaranteed graphic; placing the
+blocks side by side therefore realizes the input with no component larger
+than 3 * d1^2 vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGraphicError, PlanNotApplicableError
-from .graphs import SimpleGraph, disjoint_union
+from .graphs import SimpleGraph
 from .sequences import IntegerSequence, erdos_gallai_check, erdos_gallai_sides
 
 
@@ -118,14 +118,14 @@ def realize_bounded(seq: IntegerSequence) -> SimpleGraph:
 
     Sequences shorter than one chunk are realized directly (the whole
     graph then has fewer than d1^2 vertices). Otherwise each block of the
-    plan is realized independently and the results are concatenated, so
-    block k occupies a contiguous vertex range.
+    plan is realized independently and its edges are shifted past the
+    blocks before it, so block k occupies a contiguous vertex range.
     """
-    require_graphic(seq)
     if seq.n < seq.max_degree ** 2:
         return realize(seq)
-    plan = plan_bounded(seq)
-    graph = realize(plan.paired_blocks[0])
-    for block in plan.paired_blocks[1:]:
-        graph = disjoint_union(graph, realize(block))
-    return graph
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for block in plan_bounded(seq).paired_blocks:
+        edges.extend((u + offset, v + offset) for u, v in realize(block).edges)
+        offset += block.n
+    return SimpleGraph(offset, frozenset(edges))

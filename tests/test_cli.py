@@ -31,6 +31,10 @@ def run_cli(*argv, stdin=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("ran past the ceiling")
+
+
 class TestCheck:
     def test_not_graphic_with_certificate(self):
         code, out, _ = run_cli("check", "3,3,1,1")
@@ -93,6 +97,13 @@ class TestCheck:
         code, _, err = run_cli("check", "1^2,2^4,1^2")
         assert code == 2
         assert err.startswith("error: sequence expands past 6 entries")
+
+    @pytest.mark.parametrize("text", ["1^" + "9" * 5000, "9" * 5000 + "^1", "9" * 5000],
+                             ids=["long-count", "long-entry", "long-plain"])
+    def test_numbers_past_the_digit_limit(self, text):
+        code, out, err = run_cli("check", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse token {text!r}\n"
 
     def test_json_output(self):
         _, out, _ = run_cli("check", "--json", "3,3,1,1")
@@ -202,6 +213,22 @@ class TestRegularity:
         _, out, _ = run_cli("regularity", "--json", "-N", "3", "3,2,2,1")
         assert json.loads(out) == {"bound": 3, "counts_descending": [1, 2, 1]}
 
+    def test_bound_ceiling(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        assert run_cli("regularity", "-N", "6", "1,1") == (0, "0,0,0,0,0,2\n", "")
+        monkeypatch.setattr(cli, "to_regularity", unreachable)
+        refusal = "error: degree bound 7 is above the ceiling of 6 entries\n"
+        assert run_cli("regularity", "-N", "7", "1,1") == (2, "", refusal)
+        # without -N the bound is the largest entry
+        assert run_cli("regularity", "7,1") == (2, "", refusal)
+
+    def test_decode_total_ceiling(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        assert run_cli("regularity", "--decode", "0,2,4") == (0, "2,2,1,1,1,1\n", "")
+        monkeypatch.setattr(cli, "from_regularity", unreachable)
+        assert run_cli("regularity", "--decode", "0,3,4") == (
+            2, "", "error: count vector total 7 is above the ceiling of 6 entries\n")
+
 
 class TestCompare:
     def test_holds_sufficient(self):
@@ -257,6 +284,13 @@ class TestCompare:
         assert witness.validates(parse_sequence(data["witness"]["d1"]),
                                  parse_sequence(data["witness"]["d2"]))
 
+    def test_bound_ceiling(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        assert run_cli("compare", "-N", "6", "1,1", "1^4") == (0, "holds (sufficient)\n", "")
+        monkeypatch.setattr(cli, "compare", unreachable)
+        assert run_cli("compare", "-N", "7", "1,1", "1^4") == (
+            2, "", "error: degree bound 7 is above the ceiling of 6 entries\n")
+
     def test_json_refutation(self):
         _, out, _ = run_cli("compare", "--json", "2,2,2", "2,2,2,2",
                             "--method", "oracle")
@@ -291,6 +325,16 @@ class TestHarnessCommand:
         assert witness.validates(parse_sequence(data["witness"]["d1"]),
                                  parse_sequence(data["witness"]["d2"]))
         assert "elapsed_ms" not in data
+
+    def test_size_ceilings(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 20)
+        code, out, _ = run_cli("harness", "-N", "2", "--count", "10", "--max-length", "2")
+        assert (code, out) == (0, "good pair i=0 j=1 (method=sufficient, prefix=2): 1,1 <= 1,1\n")
+        monkeypatch.setattr(cli, "generate_stream", unreachable)
+        assert run_cli("harness", "-N", "21", "--count", "2", "--max-length", "2") == (
+            2, "", "error: degree bound 21 is above the ceiling of 20 entries\n")
+        assert run_cli("harness", "-N", "2", "--count", "7", "--max-length", "3") == (
+            2, "", "error: --count * --max-length 21 is above the ceiling of 20 entries\n")
 
     def test_timing_flag_adds_field(self):
         _, out, _ = run_cli("harness", "-N", "2", "--count", "20",

@@ -10,6 +10,7 @@ from degseq.graphs import (
     SimpleGraph,
     adjacency,
     components,
+    components_with_vertices,
     degree_sequence,
     disjoint_union,
     from_edge_list_text,
@@ -104,6 +105,18 @@ class TestComponents:
         parts = components(g)
         assert sum(p.vertex_count for p in parts) == g.vertex_count
         assert sum(p.edge_count for p in parts) == g.edge_count
+
+    @given(graphs(max_n=12))
+    def test_parts_are_induced_on_members_by_smallest_vertex(self, g):
+        found = components_with_vertices(g)
+        smallest = [members[0] for _, members in found]
+        assert smallest == sorted(smallest)
+        for part, members in found:
+            assert list(members) == sorted(members)
+            index = {v: i for i, v in enumerate(members)}
+            induced = frozenset((index[u], index[v]) for u, v in g.edges
+                                if u in index and v in index)
+            assert part == SimpleGraph(len(members), induced)
 
     @given(graphs())
     def test_adjacency_is_symmetric_and_sorted(self, g):

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from degseq.errors import NotGraphicError, PlanNotApplicableError
-from degseq.graphs import components, degree_sequence, sorted_edges
+from degseq.graphs import components, degree_sequence, disjoint_union, sorted_edges
 from degseq.realization import plan_bounded, realize, realize_bounded
 from degseq.sequences import erdos_gallai_check, parse_sequence
 from oracles import random_graphic_sequence
@@ -155,3 +156,12 @@ class TestRealizeBounded:
         assert degree_sequence(g) == list(seq.entries)
         limit = 3 * seq.max_degree ** 2
         assert all(p.vertex_count <= limit for p in components(g))
+
+    @given(graphic_sequences())
+    def test_equals_union_of_block_realizations(self, seq):
+        if seq.n < seq.max_degree ** 2:
+            expected = realize(seq)
+        else:
+            expected = reduce(disjoint_union,
+                              (realize(block) for block in plan_bounded(seq).paired_blocks))
+        assert realize_bounded(seq) == expected
