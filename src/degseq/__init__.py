@@ -6,12 +6,7 @@ procedures for the induced-subgraph order on graphic sequences, plus a
 stream harness that hunts for comparable pairs.
 """
 
-from .errors import (
-    CapExceededError,
-    GoodPairNotFound,
-    NotGraphicError,
-    PlanNotApplicableError,
-)
+from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
 from .graphs import (
     SimpleGraph,
     adjacency,
@@ -48,7 +43,6 @@ from .rao import (
     witness_to_json,
 )
 from .realization import (
-    RealizationPlan,
     plan_bounded,
     realize,
     realize_bounded,
@@ -58,7 +52,6 @@ from .sequences import (
     IntegerSequence,
     RegularitySequence,
     erdos_gallai_check,
-    erdos_gallai_sides,
     from_regularity,
     leq_pointwise,
     parse_sequence,
@@ -74,9 +67,7 @@ __all__ = [
     "IntegerSequence",
     "NotGraphicError",
     "Outcome",
-    "PlanNotApplicableError",
     "RaoWitness",
-    "RealizationPlan",
     "RegularitySequence",
     "SimpleGraph",
     "StreamConfig",
@@ -89,7 +80,6 @@ __all__ = [
     "disjoint_union",
     "enumerate_graphic",
     "erdos_gallai_check",
-    "erdos_gallai_sides",
     "find_good_pair",
     "from_edge_list_text",
     "from_json_dict",

@@ -38,7 +38,6 @@ from .sequences import (
     IntegerSequence,
     RegularitySequence,
     erdos_gallai_check,
-    erdos_gallai_sides,
     from_regularity,
     parse_sequence,
     sufficient_by_length,
@@ -140,9 +139,8 @@ def _verdict_json(seq: IntegerSequence, verdict: GraphicalityVerdict,
     if not verdict.graphic:
         out["failing_index"] = verdict.failing_index
         if verdict.failing_index is not None:
-            lhs, rhs = erdos_gallai_sides(seq, verdict.failing_index)
-            out["lhs"] = lhs
-            out["rhs"] = rhs
+            out["lhs"] = verdict.lhs
+            out["rhs"] = verdict.rhs
         else:
             out["reason"] = "odd degree sum"
     if prop4:
@@ -157,8 +155,7 @@ def _verdict_lines(seq: IntegerSequence, verdict: GraphicalityVerdict,
     elif verdict.failing_index is None:
         lines = ["not graphic (odd degree sum)"]
     else:
-        lhs, rhs = erdos_gallai_sides(seq, verdict.failing_index)
-        lines = [f"not graphic (k={verdict.failing_index}: {lhs} > {rhs})"]
+        lines = [f"not graphic (k={verdict.failing_index}: {verdict.lhs} > {verdict.rhs})"]
     if prop4:
         bound = seq.max_degree ** 2
         if sufficient_by_length(seq):

@@ -13,14 +13,6 @@ class NotGraphicError(ValueError):
         self.verdict = verdict
 
 
-class PlanNotApplicableError(ValueError):
-    """The chunking planner was given a sequence shorter than one chunk.
-
-    Distinct from :class:`NotGraphicError`: the sequence is fine, it just
-    should be realized directly.
-    """
-
-
 class CapExceededError(RuntimeError):
     """An exhaustive procedure was asked to run past its instance-size guard."""
 

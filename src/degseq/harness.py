@@ -44,10 +44,11 @@ def enumerate_graphic(bound: int, max_length: int) -> Iterator[IntegerSequence]:
     """All graphic sequences with entries <= bound and length <= max_length.
 
     Ordered by length, then lexicographically on the nonincreasing entry
-    tuple.
+    tuple. A graphic sequence of length n has no entry above n - 1, so
+    only entries up to min(bound, n - 1) are tried.
     """
     for n in range(1, max_length + 1):
-        for rising in combinations_with_replacement(range(1, bound + 1), n):
+        for rising in combinations_with_replacement(range(1, min(bound, n - 1) + 1), n):
             entries = rising[::-1]
             candidate = IntegerSequence(entries)
             if erdos_gallai_check(candidate).graphic:
@@ -57,13 +58,16 @@ def enumerate_graphic(bound: int, max_length: int) -> Iterator[IntegerSequence]:
 def _random_graphic(rng: random.Random, bound: int, max_length: int) -> IntegerSequence:
     """Rejection-sample one graphic sequence.
 
-    Parity repair first: decrement the largest odd entry above 1, or
-    append a 1 when every odd entry is already 1 and there is room. The
+    Entries are drawn from 1..min(bound, max_length - 1), since a larger
+    entry cannot occur in a graphic sequence of at most max_length
+    entries. Parity repair first: decrement the largest odd entry above 1,
+    or append a 1 when every odd entry is already 1 and there is room. The
     repaired candidate still has to pass the graphicality check.
     """
+    top = min(bound, max_length - 1)
     while True:
         n = rng.randint(1, max_length)
-        entries = sorted((rng.randint(1, bound) for _ in range(n)), reverse=True)
+        entries = sorted((rng.randint(1, top) for _ in range(n)), reverse=True)
         if sum(entries) % 2 != 0:
             odd_above_one = [e for e in entries if e % 2 == 1 and e > 1]
             if odd_above_one:

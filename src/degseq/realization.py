@@ -6,22 +6,22 @@ succeeds for every graphic input and is deterministic (ties break on
 vertex index).
 
 ``realize_bounded`` keeps every connected component small. With L = d1^2
-the sorted sequence is cut into q = floor(n / L) chunks (the last absorbs
-the remainder), chunks with odd sum are paired in ascending order and
-merged, and every block is realized independently. Each block has even
-sum and between L and 3L entries, so its length is at least the square of
-its own largest entry and the block is guaranteed graphic; placing the
-blocks side by side therefore realizes the input with no component larger
-than 3 * d1^2 vertices.
+a sequence shorter than L is one block; a longer one is cut into
+q = floor(n / L) chunks (the last absorbs the remainder), chunks with odd
+sum are paired in ascending order and merged, and every block is realized
+independently. The length lemma (even sum and at least d1^2 entries force
+graphicality) does the checking: a long sequence is graphic exactly when
+its sum is even, and each block has even sum and between L and 3L
+entries, so its length is at least the square of its own largest entry
+and the block is graphic too; placing the blocks side by side therefore
+realizes the input with no component larger than 3 * d1^2 vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotGraphicError, PlanNotApplicableError
+from .errors import NotGraphicError
 from .graphs import SimpleGraph
-from .sequences import IntegerSequence, erdos_gallai_check, erdos_gallai_sides
+from .sequences import IntegerSequence, erdos_gallai_check
 
 
 def require_graphic(seq: IntegerSequence) -> None:
@@ -31,9 +31,9 @@ def require_graphic(seq: IntegerSequence) -> None:
         return
     if verdict.failing_index is None:
         raise NotGraphicError(f"sequence {seq} has odd degree sum", verdict)
-    lhs, rhs = erdos_gallai_sides(seq, verdict.failing_index)
     raise NotGraphicError(
-        f"sequence {seq} is not graphic (k={verdict.failing_index}: {lhs} > {rhs})",
+        f"sequence {seq} is not graphic"
+        f" (k={verdict.failing_index}: {verdict.lhs} > {verdict.rhs})",
         verdict)
 
 
@@ -62,70 +62,56 @@ def realize(seq: IntegerSequence) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class RealizationPlan:
-    """Chunking and pairing used by the bounded-component construction."""
+def plan_bounded(seq: IntegerSequence) -> tuple[IntegerSequence, ...]:
+    """Cut ``seq`` into the blocks that :func:`realize_bounded` realizes.
 
-    chunk_length: int
-    chunks: tuple[IntegerSequence, ...]
-    paired_blocks: tuple[IntegerSequence, ...]
-
-
-def plan_bounded(seq: IntegerSequence) -> RealizationPlan:
-    """Cut ``seq`` into chunks of length L = d1^2 and pair the odd-sum ones.
-
-    The last chunk absorbs the division remainder (length L..2L-1). Odd-sum
+    With L = d1^2, a sequence shorter than L is its own single block.
+    A longer one is cut into q = floor(n / L) chunks of length L, the
+    last absorbing the division remainder (length L..2L-1). Odd-sum
     chunks are merged pairwise in ascending chunk order; a merged block
-    sits at the position of its earlier chunk. Every resulting block is
-    re-sorted nonincreasing, has even sum, and length between L and 3L.
+    sits at the position of its earlier chunk and stays nonincreasing,
+    since every entry of an earlier chunk is at least every entry of a
+    later one. Every block then has even sum and length between L and
+    3L, so it is graphic by the length lemma.
 
-    Raises :class:`PlanNotApplicableError` when n < L (no chunking to do)
-    and :class:`NotGraphicError` for non-graphic input.
+    Raises :class:`NotGraphicError` for a sequence of at least L entries
+    with odd sum: by the same lemma, that is the only way such a sequence
+    fails to be graphic. A single block is checked when it is realized.
     """
-    require_graphic(seq)
     chunk_length = seq.max_degree ** 2
-    q, r = divmod(seq.n, chunk_length)
+    q = seq.n // chunk_length
     if q == 0:
-        raise PlanNotApplicableError(
-            f"sequence has {seq.n} entries, fewer than one chunk of {chunk_length};"
-            " realize it directly")
+        return (seq,)
+    if seq.total % 2 != 0:
+        require_graphic(seq)  # raises: odd degree sum
     entries = seq.entries
-    pieces = [entries[i * chunk_length:(i + 1) * chunk_length] for i in range(q - 1)]
-    pieces.append(entries[(q - 1) * chunk_length:])
-    chunks = tuple(IntegerSequence(p) for p in pieces)
-
-    keyed_blocks: list[tuple[int, tuple[int, ...]]] = []
-    pending: tuple[int, tuple[int, ...]] | None = None
-    for idx, piece in enumerate(pieces):
+    starts = [i * chunk_length for i in range(q)] + [seq.n]
+    blocks: list[tuple[int, ...]] = []
+    pending: int | None = None  # index of the odd-sum block awaiting a partner
+    for lo, hi in zip(starts, starts[1:]):
+        piece = entries[lo:hi]
         if sum(piece) % 2 == 0:
-            keyed_blocks.append((idx, piece))
+            blocks.append(piece)
         elif pending is None:
-            pending = (idx, piece)
+            pending = len(blocks)
+            blocks.append(piece)
         else:
-            merged = tuple(sorted(pending[1] + piece, reverse=True))
-            keyed_blocks.append((pending[0], merged))
+            blocks[pending] += piece
             pending = None
-    if pending is not None:
-        # Even total degree makes the number of odd-sum chunks even.
-        raise RuntimeError(f"unpaired odd-sum chunk for graphic input {seq}")
-    keyed_blocks.sort(key=lambda kb: kb[0])
-    blocks = tuple(IntegerSequence(b) for _, b in keyed_blocks)
-    return RealizationPlan(chunk_length, chunks, blocks)
+    return tuple(IntegerSequence(b) for b in blocks)
 
 
 def realize_bounded(seq: IntegerSequence) -> SimpleGraph:
     """Realize ``seq`` with every connected component at most 3 * d1^2 vertices.
 
-    Sequences shorter than one chunk are realized directly (the whole
-    graph then has fewer than d1^2 vertices). Otherwise each block of the
-    plan is realized independently and its edges are shifted past the
-    blocks before it, so block k occupies a contiguous vertex range.
+    Each block of :func:`plan_bounded` is realized independently (and so
+    checked) and its edges are shifted past the blocks before it, so
+    block k occupies a contiguous vertex range. A sequence shorter than
+    d1^2 is one block, whose whole graph has fewer than d1^2 vertices.
     """
-    if seq.n < seq.max_degree ** 2:
-        return realize(seq)
     edges: list[tuple[int, int]] = []
     offset = 0
-    for block in plan_bounded(seq).paired_blocks:
+    for block in plan_bounded(seq):
         edges.extend((u + offset, v + offset) for u, v in realize(block).edges)
         offset += block.n
     return SimpleGraph(offset, frozenset(edges))

@@ -63,12 +63,15 @@ class GraphicalityVerdict:
     """Outcome of the Erdos-Gallai test.
 
     ``failing_index`` is the smallest prefix length whose inequality is
-    violated; it is None both for graphic sequences and for the odd-sum
+    violated, and ``lhs`` > ``rhs`` are the two sides of that inequality;
+    all three are None both for graphic sequences and for the odd-sum
     rejection (where no single inequality is the culprit).
     """
 
     graphic: bool
     failing_index: int | None = None
+    lhs: int | None = None
+    rhs: int | None = None
 
 
 def erdos_gallai_check(seq: IntegerSequence) -> GraphicalityVerdict:
@@ -76,7 +79,7 @@ def erdos_gallai_check(seq: IntegerSequence) -> GraphicalityVerdict:
 
     An odd degree sum yields ``GraphicalityVerdict(False, None)``.
     Otherwise every prefix length k in 1..n is tested and the smallest
-    violated k is reported.
+    violated k is reported together with both sides of its inequality.
     """
     d = seq.entries
     n = len(d)
@@ -93,7 +96,7 @@ def erdos_gallai_check(seq: IntegerSequence) -> GraphicalityVerdict:
         tail_start = max(k, ge)          # positions beyond this have d_i < k
         rhs = k * (k - 1) + k * capped + (total - prefix[tail_start])
         if lhs > rhs:
-            return GraphicalityVerdict(False, k)
+            return GraphicalityVerdict(False, k, lhs, rhs)
     return GraphicalityVerdict(True, None)
 
 
@@ -101,8 +104,8 @@ def erdos_gallai_sides(seq: IntegerSequence, k: int) -> tuple[int, int]:
     """Return (lhs, rhs) of the prefix-k inequality by direct summation.
 
     Independent of the bisect-based fast path in
-    :func:`erdos_gallai_check`; useful for re-checking a failure
-    certificate.
+    :func:`erdos_gallai_check`; useful for re-checking the sides of a
+    failure certificate.
     """
     if not 1 <= k <= seq.n:
         raise ValueError(f"k must be in 1..{seq.n}, got {k}")

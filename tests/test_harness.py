@@ -1,5 +1,6 @@
 import pytest
 
+from degseq import harness
 from degseq.errors import GoodPairNotFound
 from degseq.harness import (
     StreamConfig,
@@ -59,6 +60,32 @@ class TestGenerateStream:
             assert seq.max_degree <= 3
             assert seq.n <= 8
             assert erdos_gallai_check(seq).graphic
+
+
+class TestImpossibleEntriesSkipped:
+    """Entries above max_length - 1 never occur in a graphic sequence."""
+
+    @pytest.fixture
+    def few_checks(self, monkeypatch):
+        real = harness.erdos_gallai_check
+        calls = 0
+
+        def counted(seq):
+            nonlocal calls
+            calls += 1
+            if calls > 10 ** 4:
+                raise AssertionError("more than 10^4 graphicality checks")
+            return real(seq)
+
+        monkeypatch.setattr(harness, "erdos_gallai_check", counted)
+
+    def test_enumerate_with_a_huge_bound(self, few_checks):
+        assert list(enumerate_graphic(10 ** 6, 5)) == list(enumerate_graphic(4, 5))
+
+    def test_random_stream_with_a_huge_bound(self, few_checks):
+        stream = generate_stream(StreamConfig(bound=10 ** 6, max_length=4, seed=0, count=5))
+        assert len(stream) == 5
+        assert all(seq.max_degree <= 3 for seq in stream)
 
 
 class TestFindGoodPair:

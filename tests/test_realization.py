@@ -3,12 +3,13 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from degseq.errors import NotGraphicError, PlanNotApplicableError
+from degseq import realization
+from degseq.errors import NotGraphicError
 from degseq.graphs import components, degree_sequence, disjoint_union, sorted_edges
-from degseq.realization import plan_bounded, realize, realize_bounded
+from degseq.realization import plan_bounded, realize, realize_bounded, require_graphic
 from degseq.sequences import erdos_gallai_check, parse_sequence
 from oracles import random_graphic_sequence
 
@@ -63,48 +64,50 @@ class TestRealize:
 
 class TestPlanBounded:
     def test_twelve_twos(self):
-        plan = plan_bounded(parse_sequence([2] * 12))
-        assert plan.chunk_length == 4
-        assert [c.entries for c in plan.chunks] == [(2, 2, 2, 2)] * 3
-        assert [b.entries for b in plan.paired_blocks] == [(2, 2, 2, 2)] * 3
+        blocks = plan_bounded(parse_sequence([2] * 12))
+        assert [b.entries for b in blocks] == [(2, 2, 2, 2)] * 3
 
     def test_two_odd_chunks_merge(self):
         # d1 = 2 gives chunk length 4; thirteen entries split 4 + 4 + 5 and
         # the 2nd and 3rd chunks have odd sums, so they merge into one block.
         seq = parse_sequence([2] * 7 + [1] * 6)
-        plan = plan_bounded(seq)
-        assert plan.chunk_length == 4
-        assert [sum(c.entries) % 2 for c in plan.chunks] == [0, 1, 1]
-        assert [b.entries for b in plan.paired_blocks] == [
+        assert [b.entries for b in plan_bounded(seq)] == [
             (2, 2, 2, 2),
             (2, 2, 2, 1, 1, 1, 1, 1, 1),
         ]
 
-    def test_remainder_goes_to_last_chunk(self):
-        seq = parse_sequence([2] * 7 + [1] * 6)  # n = 13 = 3*4 + 1
-        plan = plan_bounded(seq)
-        lengths = [c.n for c in plan.chunks]
-        assert lengths == [4, 4, 5]
-        assert plan.chunk_length <= lengths[-1] <= 2 * plan.chunk_length - 1
+    def test_merged_block_sits_at_the_earlier_chunk(self):
+        # d1 = 3 gives chunk length 9: chunks 3^9 and 1^9 have odd sums and
+        # merge at the first position, ahead of the even chunk 2^9.
+        seq = parse_sequence([3] * 9 + [2] * 9 + [1] * 9)
+        assert [b.entries for b in plan_bounded(seq)] == [
+            (3,) * 9 + (1,) * 9,
+            (2,) * 9,
+        ]
 
-    def test_too_short_is_distinct_error(self):
-        with pytest.raises(PlanNotApplicableError):
-            plan_bounded(parse_sequence([3, 3, 3, 3]))  # n = 4 < 9
+    def test_remainder_goes_to_last_chunk(self):
+        # n = 14 = 3*4 + 2: the last block absorbs the remainder, L..2L-1
+        seq = parse_sequence([2] * 8 + [1] * 6)
+        lengths = [b.n for b in plan_bounded(seq)]
+        assert lengths == [4, 4, 6]
+
+    def test_short_sequence_is_one_block(self):
+        seq = parse_sequence([3, 3, 3, 3])  # n = 4 < 9
+        assert plan_bounded(seq) == (seq,)
 
     def test_non_graphic_rejected(self):
-        with pytest.raises(NotGraphicError):
+        with pytest.raises(NotGraphicError, match="odd degree sum"):
             plan_bounded(parse_sequence([1] * 5))
 
     @given(graphic_sequences())
     def test_plan_invariants(self, seq):
         chunk_length = seq.max_degree ** 2
+        blocks = plan_bounded(seq)
         if seq.n < chunk_length:
+            assert blocks == (seq,)
             return
-        plan = plan_bounded(seq)
-        odd_chunks = sum(1 for c in plan.chunks if c.total % 2 == 1)
-        assert odd_chunks % 2 == 0
         merged = Counter()
-        for block in plan.paired_blocks:
+        for block in blocks:
             assert block.total % 2 == 0
             assert chunk_length <= block.n <= 3 * chunk_length
             assert block.n >= block.max_degree ** 2
@@ -141,10 +144,9 @@ class TestRealizeBounded:
 
     def test_blocks_occupy_contiguous_ranges(self):
         seq = parse_sequence([2] * 12)
-        plan = plan_bounded(seq)
         g = realize_bounded(seq)
         offset = 0
-        for block in plan.paired_blocks:
+        for block in plan_bounded(seq):
             span = range(offset, offset + block.n)
             for u, v in g.edges:
                 assert (u in span) == (v in span)
@@ -159,9 +161,33 @@ class TestRealizeBounded:
 
     @given(graphic_sequences())
     def test_equals_union_of_block_realizations(self, seq):
-        if seq.n < seq.max_degree ** 2:
-            expected = realize(seq)
-        else:
-            expected = reduce(disjoint_union,
-                              (realize(block) for block in plan_bounded(seq).paired_blocks))
+        expected = reduce(disjoint_union, map(realize, plan_bounded(seq)))
         assert realize_bounded(seq) == expected
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=30).map(parse_sequence))
+    @example(parse_sequence([1] * 5))
+    @example(parse_sequence([3, 3, 1, 1]))
+    @example(parse_sequence([7] + [1] * 48))
+    def test_raises_exactly_when_not_graphic(self, seq):
+        if erdos_gallai_check(seq).graphic:
+            realize_bounded(seq)
+            return
+        with pytest.raises(NotGraphicError) as raised:
+            realize_bounded(seq)
+        with pytest.raises(NotGraphicError) as expected:
+            require_graphic(seq)
+        assert str(raised.value) == str(expected.value)
+
+    def test_checks_only_blocks(self, monkeypatch):
+        # The length lemma decides a long even-sum sequence, so Erdos-Gallai
+        # runs on the blocks (at most 3 * d1^2 entries each), never on the whole.
+        seen = []
+        real = realization.erdos_gallai_check
+
+        def recorded(seq):
+            seen.append(seq.n)
+            return real(seq)
+
+        monkeypatch.setattr(realization, "erdos_gallai_check", recorded)
+        realize_bounded(parse_sequence([2] * 100))
+        assert seen and max(seen) <= 3 * 2 ** 2

@@ -53,6 +53,7 @@ class TestErdosGallai:
         verdict = erdos_gallai_check(parse_sequence([3, 3, 1, 1]))
         assert not verdict.graphic
         assert verdict.failing_index == 2
+        assert (verdict.lhs, verdict.rhs) == (6, 4)
         assert erdos_gallai_sides(parse_sequence([3, 3, 1, 1]), 2) == (6, 4)
         # brute force over all graphs on 4 labeled vertices agrees
         assert not is_graphic_by_enumeration((3, 3, 1, 1))
@@ -64,6 +65,7 @@ class TestErdosGallai:
         verdict = erdos_gallai_check(parse_sequence([1, 1, 1]))
         assert not verdict.graphic
         assert verdict.failing_index is None
+        assert verdict.lhs is verdict.rhs is None
 
     @given(sequences)
     def test_agrees_with_exhaustive_enumeration_small(self, seq):
@@ -79,6 +81,7 @@ class TestErdosGallai:
             return
         k = verdict.failing_index
         lhs, rhs = erdos_gallai_sides(seq, k)
+        assert (verdict.lhs, verdict.rhs) == (lhs, rhs)
         assert lhs > rhs
         # smallest violating index: everything before it holds
         for earlier in range(1, k):
