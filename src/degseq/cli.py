@@ -4,13 +4,14 @@ Subcommands: check, realize, realize-bounded, regularity, compare,
 harness. Sequences are given as comma- or whitespace-separated integers
 with optional power notation (``2^12`` means twelve 2s, mixing is fine:
 ``3,2^4,1``; a sequence may expand to at most ten million entries), or
-one sequence per line via ``--file`` (``-`` for stdin). The same ceiling
-holds for degree bounds, decoded count vectors and harness streams.
+one sequence per line via ``--file`` (``-`` for stdin) in place of
+entries. The same ceiling holds for degree bounds, decoded count vectors
+and harness streams.
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
-parse error (an unreadable ``--file`` included). The oracle size cap can
-be overridden with the ``DEGSEQ_ORACLE_CAP`` environment variable, a
-positive integer.
+parse error (a ``--file`` that cannot be read or comes with entries
+included). The oracle size cap can be overridden with the
+``DEGSEQ_ORACLE_CAP`` environment variable, a positive integer.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def _read_lines(path: str) -> list[str]:
 
 def _sequence_texts(args, needed: int) -> list[str]:
     if getattr(args, "file", None):
+        if args.sequence:
+            raise ValueError("pass sequence entries or --file, not both")
         lines = _read_lines(args.file)
         if needed and len(lines) < needed:
             raise ValueError(f"expected {needed} sequence line(s), got {len(lines)}")
@@ -204,8 +207,9 @@ def cmd_realize(args) -> int:
     except NotGraphicError as exc:
         _fail(str(exc))
         return 1
-    sizes = [part.vertex_count for part in components(graph)]
-    bound = 3 * seq.max_degree ** 2
+    if bounded:
+        sizes = [part.vertex_count for part in components(graph)]
+        bound = 3 * seq.max_degree ** 2
     if args.json:
         payload = to_json_dict(graph)
         if bounded:

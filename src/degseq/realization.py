@@ -1,20 +1,20 @@
 """Constructing graphs that realize a graphic sequence.
 
-``realize`` is a highest-degree-first repeated reduction: the vertex with
-the largest remaining demand is wired to the next-largest demands, which
-succeeds for every graphic input and is deterministic (ties break on
-vertex index).
+Both constructions share one highest-degree-first reduction: the vertex
+with the largest remaining demand is wired to the next-largest demands,
+which succeeds for every graphic input and is deterministic (ties break
+on vertex index).
 
 ``realize_bounded`` keeps every connected component small. With L = d1^2
 a sequence shorter than L is one block; a longer one is cut into
-q = floor(n / L) chunks (the last absorbs the remainder), chunks with odd
-sum are paired in ascending order and merged, and every block is realized
-independently. The length lemma (even sum and at least d1^2 entries force
-graphicality) does the checking: a long sequence is graphic exactly when
-its sum is even, and each block has even sum and between L and 3L
-entries, so its length is at least the square of its own largest entry
-and the block is graphic too; placing the blocks side by side therefore
-realizes the input with no component larger than 3 * d1^2 vertices.
+q = floor(n / L) chunks (the last absorbs the remainder), and chunks with
+odd sum are paired in ascending order and merged. The length lemma (even
+sum and at least d1^2 entries force graphicality) does the checking: a
+long sequence is graphic exactly when its sum is even, and each block
+has even sum and between L and 3L entries, so its length is at least the
+square of its own largest entry and the block is graphic too. Only a
+short sequence needs an Erdős–Gallai pass, and the blocks are reduced
+side by side into one graph with no component above 3 * d1^2 vertices.
 """
 
 from __future__ import annotations
@@ -37,33 +37,43 @@ def require_graphic(seq: IntegerSequence) -> None:
         verdict)
 
 
+def _reduce(block: IntegerSequence, offset: int, edges: list[tuple[int, int]]) -> None:
+    """Append the edges of the reduction of graphic ``block`` to ``edges``.
+
+    Vertex i of the block is vertex ``offset + i`` of the edge list, one
+    int object that all edges of the vertex share.
+    """
+    n = block.n
+    residual = list(block.entries)
+    label = list(range(offset, offset + n))
+    while True:
+        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        v = order[0]
+        demand = residual[v]
+        if demand == 0:
+            return
+        targets = order[1:demand + 1]
+        if len(targets) < demand or residual[targets[-1]] == 0:
+            raise RuntimeError(f"reduction failed on graphic input {block}")
+        residual[v] = 0
+        for u in targets:
+            residual[u] -= 1
+            edges.append((label[u], label[v]) if u < v else (label[v], label[u]))
+
+
 def realize(seq: IntegerSequence) -> SimpleGraph:
     """Build a simple graph whose degree sequence equals ``seq``.
 
     Vertex i ends with degree ``seq.entries[i]``.
     """
     require_graphic(seq)
-    n = seq.n
-    residual = list(seq.entries)
     edges: list[tuple[int, int]] = []
-    while True:
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
-        v = order[0]
-        demand = residual[v]
-        if demand == 0:
-            break
-        targets = order[1:demand + 1]
-        if len(targets) < demand or residual[targets[-1]] == 0:
-            raise RuntimeError(f"reduction failed on graphic input {seq}")
-        residual[v] = 0
-        for u in targets:
-            residual[u] -= 1
-            edges.append((u, v) if u < v else (v, u))
-    return SimpleGraph(n, frozenset(edges))
+    _reduce(seq, 0, edges)
+    return SimpleGraph(seq.n, frozenset(edges))
 
 
 def plan_bounded(seq: IntegerSequence) -> tuple[IntegerSequence, ...]:
-    """Cut ``seq`` into the blocks that :func:`realize_bounded` realizes.
+    """Cut ``seq`` into graphic blocks for :func:`realize_bounded`.
 
     With L = d1^2, a sequence shorter than L is its own single block.
     A longer one is cut into q = floor(n / L) chunks of length L, the
@@ -74,13 +84,14 @@ def plan_bounded(seq: IntegerSequence) -> tuple[IntegerSequence, ...]:
     later one. Every block then has even sum and length between L and
     3L, so it is graphic by the length lemma.
 
-    Raises :class:`NotGraphicError` for a sequence of at least L entries
-    with odd sum: by the same lemma, that is the only way such a sequence
-    fails to be graphic. A single block is checked when it is realized.
+    Raises :class:`NotGraphicError` unless ``seq`` is graphic: a sequence
+    shorter than L gets an Erdős–Gallai pass, a longer one only a parity
+    check, since by the same lemma an odd sum is its only way to fail.
     """
     chunk_length = seq.max_degree ** 2
     q = seq.n // chunk_length
     if q == 0:
+        require_graphic(seq)
         return (seq,)
     if seq.total % 2 != 0:
         require_graphic(seq)  # raises: odd degree sum
@@ -104,14 +115,14 @@ def plan_bounded(seq: IntegerSequence) -> tuple[IntegerSequence, ...]:
 def realize_bounded(seq: IntegerSequence) -> SimpleGraph:
     """Realize ``seq`` with every connected component at most 3 * d1^2 vertices.
 
-    Each block of :func:`plan_bounded` is realized independently (and so
-    checked) and its edges are shifted past the blocks before it, so
-    block k occupies a contiguous vertex range. A sequence shorter than
-    d1^2 is one block, whose whole graph has fewer than d1^2 vertices.
+    Every block of :func:`plan_bounded` is graphic, so each is reduced
+    unchecked into one edge list, past the blocks before it, and block k
+    occupies a contiguous vertex range. A sequence shorter than d1^2 is
+    one block, whose whole graph has fewer than d1^2 vertices.
     """
     edges: list[tuple[int, int]] = []
     offset = 0
     for block in plan_bounded(seq):
-        edges.extend((u + offset, v + offset) for u, v in realize(block).edges)
+        _reduce(block, offset, edges)
         offset += block.n
     return SimpleGraph(offset, frozenset(edges))

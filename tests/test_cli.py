@@ -148,6 +148,12 @@ class TestRealize:
         assert code == 0
         assert out == "p 3\n0 1\n0 2\n"
 
+    def test_plain_realize_skips_components(self, monkeypatch):
+        monkeypatch.setattr(cli, "components", unreachable)
+        code, out, _ = run_cli("realize", "2,1,1")
+        assert code == 0
+        assert out == "p 3\n0 1\n0 2\n"
+
     def test_bounded_twelve_twos(self):
         code, out, _ = run_cli("realize", "--bounded", "2^12")
         assert code == 0
@@ -380,6 +386,14 @@ class TestUsage:
             assert code == 2
             assert out == ""
             assert err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("argv", [("check", "3,1"), ("compare", "1,1", "2,2,2")])
+    def test_entries_and_file_refused_together(self, tmp_path, argv):
+        path = tmp_path / "seqs.txt"
+        path.write_text("2,2,2\n2,2,2\n")
+        code, out, err = run_cli(*argv, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: pass sequence entries or --file, not both\n"
 
     def test_compare_needs_two_sequences(self):
         code, _, _ = run_cli("compare", "1,1")

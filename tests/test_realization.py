@@ -99,6 +99,10 @@ class TestPlanBounded:
         with pytest.raises(NotGraphicError, match="odd degree sum"):
             plan_bounded(parse_sequence([1] * 5))
 
+    def test_short_non_graphic_rejected_with_certificate(self):
+        with pytest.raises(NotGraphicError, match=r"\(k=2: 6 > 4\)$"):
+            plan_bounded(parse_sequence([3, 3, 1, 1]))
+
     @given(graphic_sequences())
     def test_plan_invariants(self, seq):
         chunk_length = seq.max_degree ** 2
@@ -179,15 +183,32 @@ class TestRealizeBounded:
         assert str(raised.value) == str(expected.value)
 
     def test_checks_only_blocks(self, monkeypatch):
-        # The length lemma decides a long even-sum sequence, so Erdos-Gallai
-        # runs on the blocks (at most 3 * d1^2 entries each), never on the whole.
+        # The length lemma makes every planned block graphic, so no block is
+        # checked: a long even-sum sequence gets no Erdos-Gallai pass, and a
+        # short one (its own single block) gets one, on the whole sequence.
         seen = []
         real = realization.erdos_gallai_check
 
         def recorded(seq):
-            seen.append(seq.n)
+            seen.append(seq.entries)
             return real(seq)
 
         monkeypatch.setattr(realization, "erdos_gallai_check", recorded)
         realize_bounded(parse_sequence([2] * 100))
-        assert seen and max(seen) <= 3 * 2 ** 2
+        assert seen == []
+        realize_bounded(parse_sequence([3, 3, 3, 3]))
+        assert seen == [(3, 3, 3, 3)]
+
+    @pytest.mark.parametrize("entries", [[5] * 20, [2] * 100],
+                             ids=["one-block", "many-blocks"])
+    def test_builds_one_graph(self, monkeypatch, entries):
+        built = []
+        real = realization.SimpleGraph
+
+        def counted(vertex_count, edges):
+            built.append(vertex_count)
+            return real(vertex_count, edges)
+
+        monkeypatch.setattr(realization, "SimpleGraph", counted)
+        realize_bounded(parse_sequence(entries))
+        assert built == [len(entries)]
