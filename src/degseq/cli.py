@@ -6,12 +6,19 @@ with optional power notation (``2^12`` means twelve 2s, mixing is fine:
 ``3,2^4,1``; a sequence may expand to at most ten million entries), or
 one sequence per line via ``--file`` (``-`` for stdin) in place of
 entries. The same ceiling holds for degree bounds, decoded count vectors
-and harness streams.
+and harness streams. ``check --file`` reads every nonblank line and
+refuses a file with none; the other commands need exactly one nonblank
+line, two for ``compare``.
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
-parse error (a ``--file`` that cannot be read or comes with entries
-included). The oracle size cap can be overridden with the
-``DEGSEQ_ORACLE_CAP`` environment variable, a positive integer.
+parse error. The handlers return 0 or 1 from a verdict and raise on
+errors; ``main`` alone maps an error to its exit code and prints
+``error: ...``: ``NotGraphicError`` and ``GoodPairNotFound`` exit 1,
+``ValueError`` (bad input, a ceiling, an unreadable ``--file``) and a
+single ``--method``'s ``CapExceededError`` exit 2, and any other
+exception is an internal fault and propagates. The oracle size cap can
+be overridden with the ``DEGSEQ_ORACLE_CAP`` environment variable, a
+positive integer.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ import re
 import sys
 import time
 
-from .errors import GoodPairNotFound, NotGraphicError
+from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
 from .graphs import components, to_edge_list_text, to_json_dict
 from .harness import (
-    GoodPairReport,
     StreamConfig,
     find_good_pair,
     generate_stream,
@@ -78,13 +84,6 @@ def _expand_tokens(text: str) -> list[int]:
     return entries
 
 
-def _parse_cli_sequence(text: str, strip_zeros: bool) -> IntegerSequence:
-    entries = _expand_tokens(text)
-    if strip_zeros:
-        entries = [e for e in entries if e != 0]
-    return parse_sequence(entries)
-
-
 def _read_lines(path: str) -> list[str]:
     if path == "-":
         data = sys.stdin.read()
@@ -98,20 +97,37 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _sequence_texts(args, needed: int) -> list[str]:
-    if getattr(args, "file", None):
+    """The sequence texts of ``args``: exactly ``needed``, or at least one if 0.
+
+    ``--file`` gives one text per nonblank line; entries give one text,
+    or one per argument when two are needed.
+    """
+    if args.file:
         if args.sequence:
             raise ValueError("pass sequence entries or --file, not both")
-        lines = _read_lines(args.file)
-        if needed and len(lines) < needed:
-            raise ValueError(f"expected {needed} sequence line(s), got {len(lines)}")
-        return lines if not needed else lines[:needed]
-    if not args.sequence:
-        raise ValueError("no sequence given (pass entries or --file)")
-    if needed == 2:
-        if len(args.sequence) != 2:
+        texts = _read_lines(args.file)
+        if needed and len(texts) != needed:
+            raise ValueError(f"expected {needed} sequence line(s), got {len(texts)}")
+    elif needed == 2:
+        texts = list(args.sequence)
+        if texts and len(texts) != 2:
             raise ValueError("expected exactly two sequence arguments")
-        return list(args.sequence)
-    return [" ".join(args.sequence)]
+    else:
+        texts = [" ".join(args.sequence)] if args.sequence else []
+    if not texts:
+        raise ValueError("no sequence given (pass entries or --file)")
+    return texts
+
+
+def _read_sequences(args, needed: int) -> list[IntegerSequence]:
+    """Parse the texts of :func:`_sequence_texts`, dropping zeros on ``--strip-zeros``."""
+    sequences = []
+    for text in _sequence_texts(args, needed):
+        entries = _expand_tokens(text)
+        if args.strip_zeros:
+            entries = [e for e in entries if e != 0]
+        sequences.append(parse_sequence(entries))
+    return sequences
 
 
 def _oracle_cap() -> int:
@@ -126,10 +142,6 @@ def _oracle_cap() -> int:
         raise ValueError(
             f"DEGSEQ_ORACLE_CAP must be a positive integer, got {value!r}")
     return cap
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +183,8 @@ def _verdict_lines(seq: IntegerSequence, verdict: GraphicalityVerdict,
 
 
 def cmd_check(args) -> int:
-    try:
-        texts = _sequence_texts(args, needed=0 if args.file else 1)
-        sequences = [_parse_cli_sequence(t, args.strip_zeros) for t in texts]
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
     status = 0
-    for seq in sequences:
+    for seq in _read_sequences(args, needed=0):
         verdict = erdos_gallai_check(seq)
         if args.json:
             print(json.dumps(_verdict_json(seq, verdict, args.prop4)))
@@ -195,30 +201,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    try:
-        text = _sequence_texts(args, needed=1)[0]
-        seq = _parse_cli_sequence(text, args.strip_zeros)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
-    bounded = getattr(args, "bounded", False) or args.command == "realize-bounded"
-    try:
-        graph = realize_bounded(seq) if bounded else realize(seq)
-    except NotGraphicError as exc:
-        _fail(str(exc))
-        return 1
-    if bounded:
+    [seq] = _read_sequences(args, needed=1)
+    graph = realize_bounded(seq) if args.bounded else realize(seq)
+    if args.bounded:
         sizes = [part.vertex_count for part in components(graph)]
         bound = 3 * seq.max_degree ** 2
     if args.json:
         payload = to_json_dict(graph)
-        if bounded:
+        if args.bounded:
             payload["component_sizes"] = sizes
             payload["bound"] = bound
         print(json.dumps(payload, indent=2))
     else:
         print(to_edge_list_text(graph), end="")
-        if bounded:
+        if args.bounded:
             print(f"c components: {' '.join(str(s) for s in sizes)}")
             print(f"c bound: {bound}")
     return 0
@@ -229,28 +225,22 @@ def cmd_realize(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    try:
-        if args.decode:
-            text = _sequence_texts(args, needed=1)[0]
-            descending = _expand_tokens(text)
-            if any(c < 0 for c in descending):
-                raise ValueError("counts must be nonnegative")
-            _within_ceiling(sum(descending), "count vector total")
-            counts = RegularitySequence(tuple(descending[::-1]))
-            seq = from_regularity(counts)
-            if args.json:
-                print(json.dumps({"entries": list(seq.entries)}))
-            else:
-                print(str(seq))
-            return 0
-        text = _sequence_texts(args, needed=1)[0]
-        seq = _parse_cli_sequence(text, args.strip_zeros)
-        bound = args.bound if args.bound is not None else seq.max_degree
-        _within_ceiling(bound, "degree bound")
-        counts = to_regularity(seq, bound)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    if args.decode:
+        [text] = _sequence_texts(args, needed=1)
+        descending = _expand_tokens(text)
+        if any(c < 0 for c in descending):
+            raise ValueError("counts must be nonnegative")
+        _within_ceiling(sum(descending), "count vector total")
+        seq = from_regularity(RegularitySequence(tuple(descending[::-1])))
+        if args.json:
+            print(json.dumps({"entries": list(seq.entries)}))
+        else:
+            print(str(seq))
+        return 0
+    [seq] = _read_sequences(args, needed=1)
+    bound = args.bound if args.bound is not None else seq.max_degree
+    _within_ceiling(bound, "degree bound")
+    counts = to_regularity(seq, bound)
     if args.json:
         print(json.dumps({"bound": counts.bound,
                           "counts_descending": list(counts.descending)}))
@@ -264,31 +254,16 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        texts = _sequence_texts(args, needed=2)
-        d_small = _parse_cli_sequence(texts[0], args.strip_zeros)
-        d_large = _parse_cli_sequence(texts[1], args.strip_zeros)
-        if args.bound is not None:
-            _within_ceiling(args.bound, "degree bound")
-        bound = args.bound if args.bound is not None else max(
-            d_small.max_degree, d_large.max_degree)
-        cap = _oracle_cap()
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    d_small, d_large = _read_sequences(args, needed=2)
+    if args.bound is not None:
+        _within_ceiling(args.bound, "degree bound")
+    bound = args.bound if args.bound is not None else max(
+        d_small.max_degree, d_large.max_degree)
+    cap = _oracle_cap()
     methods = ROUTES if args.method == "auto" else (args.method,)
-    try:
-        outcome = compare(d_small, d_large, bound, methods=methods, oracle_cap=cap)
-    except NotGraphicError as exc:
-        _fail(str(exc))
-        return 1
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    outcome = compare(d_small, d_large, bound, methods=methods, oracle_cap=cap)
     if len(methods) == 1 and outcome.refusals:
-        _fail(outcome.refusals[-1])
-        return 2
-
+        raise CapExceededError(outcome.refusals[-1])
     if args.json:
         payload = {
             "result": outcome.result,
@@ -310,30 +285,16 @@ def cmd_compare(args) -> int:
 # harness
 
 
-def _summary_line(report: GoodPairReport) -> str:
-    return (f"good pair i={report.i} j={report.j}"
-            f" (method={report.method}, prefix={report.prefix_length_scanned}):"
-            f" {report.seq_i} <= {report.seq_j}")
-
-
 def cmd_harness(args) -> int:
-    try:
-        cfg = StreamConfig(bound=args.bound, max_length=args.max_length,
-                           seed=args.seed, count=args.count,
-                           generator=args.generator)
-        _within_ceiling(cfg.bound, "degree bound")
-        _within_ceiling(cfg.count * cfg.max_length, "--count * --max-length")
-        stream = generate_stream(cfg)
-        oracle_cap = _oracle_cap()
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
+    cfg = StreamConfig(bound=args.bound, max_length=args.max_length,
+                       seed=args.seed, count=args.count,
+                       generator=args.generator)
+    _within_ceiling(cfg.bound, "degree bound")
+    _within_ceiling(cfg.count * cfg.max_length, "--count * --max-length")
+    stream = generate_stream(cfg)
+    oracle_cap = _oracle_cap()
     start = time.perf_counter()
-    try:
-        report = find_good_pair(stream, cfg.bound, oracle_cap=oracle_cap)
-    except GoodPairNotFound as exc:
-        _fail(str(exc))
-        return 1
+    report = find_good_pair(stream, cfg.bound, oracle_cap=oracle_cap)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
         payload = report_to_json(report)
@@ -341,7 +302,9 @@ def cmd_harness(args) -> int:
             payload["elapsed_ms"] = round(elapsed_ms, 3)
         print(json.dumps(payload, indent=2))
     else:
-        line = _summary_line(report)
+        line = (f"good pair i={report.i} j={report.j}"
+                f" (method={report.method}, prefix={report.prefix_length_scanned}):"
+                f" {report.seq_i} <= {report.seq_j}")
         if args.timing:
             line += f" elapsed_ms={elapsed_ms:.3f}"
         print(line)
@@ -382,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     relb = subs.add_parser("realize-bounded",
                            help="construct a bounded-component realization")
     _add_sequence_options(relb)
-    relb.set_defaults(handler=cmd_realize)
+    relb.set_defaults(handler=cmd_realize, bounded=True)
 
     reg = subs.add_parser("regularity", help="encode/decode degree multiplicities")
     _add_sequence_options(reg)
@@ -419,7 +382,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (NotGraphicError, GoodPairNotFound) as exc:  # before its base ValueError
+        error, status = exc, 1
+    except (ValueError, CapExceededError) as exc:
+        error, status = exc, 2
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -38,10 +38,9 @@ from .graphs import (
     SimpleGraph,
     components_with_vertices,
     degree_sequence,
-    disjoint_union,
     to_json_dict,
 )
-from .realization import realize, realize_bounded, require_graphic
+from .realization import _reduce, realize_bounded, require_graphic
 from .sequences import (
     IntegerSequence,
     RegularitySequence,
@@ -331,6 +330,10 @@ def rao_leq_sufficient(d_small: IntegerSequence, d_large: IntegerSequence,
     disjoint union of a realization of ``d_small`` and a realization of
     the difference realizes ``d_large``; the witness embeds the small
     realization identically. None is inconclusive, not a refutation.
+
+    Each of ``d_small``, ``d_large`` and the difference gets one
+    Erdős–Gallai pass. Both realizations are then reduced unchecked into
+    one edge list, the difference at the vertices after ``d_small``'s.
     """
     if bound < max(d_small.max_degree, d_large.max_degree):
         raise ValueError(
@@ -343,15 +346,20 @@ def rao_leq_sufficient(d_small: IntegerSequence, d_large: IntegerSequence,
     if not leq_pointwise(counts_small, counts_large):
         return None
     difference = tuple(b - a for a, b in zip(counts_small.counts, counts_large.counts))
-    if all(c == 0 for c in difference):
-        shared = realize(d_small)
-        return RaoWitness(shared, shared, tuple(range(shared.vertex_count)))
-    rest = from_regularity(RegularitySequence(difference))
-    if not erdos_gallai_check(rest).graphic:
-        return None
-    small_graph = realize(d_small)
-    big = disjoint_union(small_graph, realize(rest))
-    return RaoWitness(small_graph, big, tuple(range(small_graph.vertex_count)))
+    rest = None
+    if any(difference):
+        rest = from_regularity(RegularitySequence(difference))
+        if not erdos_gallai_check(rest).graphic:
+            return None
+    edges: list[tuple[int, int]] = []
+    _reduce(d_small, 0, edges)
+    small_graph = SimpleGraph(d_small.n, frozenset(edges))
+    embedding = tuple(range(d_small.n))
+    if rest is None:
+        return RaoWitness(small_graph, small_graph, embedding)
+    _reduce(rest, d_small.n, edges)
+    big = SimpleGraph(d_small.n + rest.n, frozenset(edges))
+    return RaoWitness(small_graph, big, embedding)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,84 @@ class TestUsage:
         code, _, _ = run_cli("compare", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, needed", [
+        (("realize",), 1), (("realize-bounded",), 1), (("regularity",), 1),
+        (("regularity", "--decode"), 1), (("compare",), 2),
+    ])
+    def test_file_needs_exactly_the_sequences_taken(self, tmp_path, argv, needed):
+        path = tmp_path / "seqs.txt"
+        for count in range(needed + 3):
+            path.write_text("1,1\n\n" * count)  # blank lines do not count
+            code, out, err = run_cli(*argv, "--file", str(path))
+            if count == needed:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, out) == (2, "")
+                assert err == f"error: expected {needed} sequence line(s), got {count}\n"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-only"])
+    def test_check_refuses_a_file_without_sequences(self, tmp_path, text):
+        path = tmp_path / "seqs.txt"
+        path.write_text(text)
+        assert run_cli("check", "--file", str(path)) == (
+            2, "", "error: no sequence given (pass entries or --file)\n")
+
+
+_OVER = str(10 ** 7 + 1)
+
+
+class TestExitCodes:
+    """main alone turns an error into its exit code and one stderr line."""
+
+    @pytest.mark.parametrize("argv, cap, code", [
+        # parse error, or input the library rejects as a ValueError
+        (("check", "2,x"), None, 2),
+        (("realize", "2,x"), None, 2),
+        (("realize-bounded", "2,x"), None, 2),
+        (("regularity", "2,x"), None, 2),
+        (("regularity", "--decode", "2,x"), None, 2),
+        (("compare", "1,1", "2,x"), None, 2),
+        (("harness", "-N", "0"), None, 2),
+        # non-graphic input
+        (("realize", "3,1"), None, 1),
+        (("realize-bounded", "3,1"), None, 1),
+        (("compare", "3,1", "2,2,2"), None, 1),
+        # ceiling
+        (("check", "1^" + _OVER), None, 2),
+        (("realize", "1^" + _OVER), None, 2),
+        (("realize-bounded", "1^" + _OVER), None, 2),
+        (("regularity", "-N", _OVER, "1,1"), None, 2),
+        (("regularity", "--decode", "0," + _OVER), None, 2),
+        (("compare", "-N", _OVER, "1,1", "1,1"), None, 2),
+        (("harness", "-N", _OVER), None, 2),
+        # bad DEGSEQ_ORACLE_CAP
+        (("compare", "1,1", "2,2,2"), "0", 2),
+        (("harness", "-N", "2", "--count", "10"), "x", 2),
+        # a single method refused by its guard
+        (("compare", "2,2,2", "2^12", "--method", "oracle"), None, 2),
+        (("compare", "3^10", "3^28", "--method", "components"), None, 2),
+        # no good pair
+        (("harness", "-N", "2", "--count", "2", "--max-length", "4", "--seed", "5"),
+         None, 1),
+    ])
+    def test_exit_code_and_one_error_line(self, monkeypatch, argv, cap, code):
+        if cap is None:
+            monkeypatch.delenv("DEGSEQ_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("DEGSEQ_ORACLE_CAP", cap)
+        got, out, err = run_cli(*argv)
+        assert (got, out) == (code, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_internal_fault_escapes_main(self, monkeypatch):
+        def faulty(*args, **kwargs):
+            raise RuntimeError("method sufficient produced an invalid witness")
+
+        monkeypatch.setattr(cli, "find_good_pair", faulty)
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            main(["harness", "-N", "2", "--count", "10"])
+
 
 _TOKENS = st.one_of(
     st.integers(-1, 12).map(str),

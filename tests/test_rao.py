@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from degseq import rao, realization
 from degseq.errors import CapExceededError
 from degseq.graphs import (
     SimpleGraph,
@@ -198,6 +199,43 @@ class TestSufficient:
     def test_bound_below_max_degree_rejected(self):
         with pytest.raises(ValueError):
             rao_leq_sufficient(parse_sequence([2, 2, 2]), parse_sequence([2, 2, 2]), 1)
+
+    def test_one_erdos_gallai_pass_per_sequence(self, monkeypatch):
+        # d_small, d_large and the difference 2,2,2 are each checked once;
+        # the realizations that follow are not checked again
+        seen = []
+        real = realization.erdos_gallai_check
+
+        def recorded(seq):
+            seen.append(seq.entries)
+            return real(seq)
+
+        monkeypatch.setattr(realization, "erdos_gallai_check", recorded)
+        monkeypatch.setattr(rao, "erdos_gallai_check", recorded)
+        d_small, d_large = parse_sequence([1, 1]), parse_sequence([2, 2, 2, 1, 1])
+        witness = rao_leq_sufficient(d_small, d_large, 2)
+        assert witness is not None and witness.validates(d_small, d_large)
+        assert seen == [(1, 1), (2, 2, 2, 1, 1), (2, 2, 2)]
+
+    @given(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    def test_witness_graphs_match_separate_realizations(self, base, extra):
+        # base and extra count degrees 1..3, and d_large has their sums; the
+        # reference realizes d_small, then takes its disjoint union with a
+        # realization of the difference, the counts in extra
+        assume(any(base))
+        d_small = from_regularity(RegularitySequence(tuple(base)))
+        d_large = from_regularity(RegularitySequence(tuple(map(sum, zip(base, extra)))))
+        assume(erdos_gallai_check(d_small).graphic and erdos_gallai_check(d_large).graphic)
+        small = realize(d_small)
+        expected = (small, small)
+        if any(extra):
+            rest = from_regularity(RegularitySequence(tuple(extra)))
+            expected = None
+            if erdos_gallai_check(rest).graphic:
+                expected = (small, disjoint_union(small, realize(rest)))
+        witness = rao_leq_sufficient(d_small, d_large, 3)
+        assert (None if witness is None else (witness.g_small, witness.g_large)) == expected
 
     def test_large_gap_always_yields_witness(self):
         # once the count difference has at least bound^2 entries (and both
