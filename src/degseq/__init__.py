@@ -9,14 +9,11 @@ stream harness that hunts for comparable pairs.
 from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
 from .graphs import (
     SimpleGraph,
-    adjacency,
     components,
     degree_sequence,
     disjoint_union,
     from_edge_list_text,
     from_json_dict,
-    graph_from_edges,
-    sorted_edges,
     to_edge_list_text,
     to_json_dict,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "RegularitySequence",
     "SimpleGraph",
     "StreamConfig",
-    "adjacency",
     "canonical_form",
     "compare",
     "components",
@@ -85,7 +81,6 @@ __all__ = [
     "from_json_dict",
     "from_regularity",
     "generate_stream",
-    "graph_from_edges",
     "higman_embeds",
     "is_induced_subgraph",
     "labeled_realizations",
@@ -98,7 +93,6 @@ __all__ = [
     "realize",
     "realize_bounded",
     "report_to_json",
-    "sorted_edges",
     "sufficient_by_length",
     "to_edge_list_text",
     "to_json_dict",

@@ -3,12 +3,12 @@
 Subcommands: check, realize, realize-bounded, regularity, compare,
 harness. Sequences are given as comma- or whitespace-separated integers
 with optional power notation (``2^12`` means twelve 2s, mixing is fine:
-``3,2^4,1``; a sequence may expand to at most ten million entries), or
-one sequence per line via ``--file`` (``-`` for stdin) in place of
-entries. The same ceiling holds for degree bounds, decoded count vectors
-and harness streams. ``check --file`` reads every nonblank line and
-refuses a file with none; the other commands need exactly one nonblank
-line, two for ``compare``.
+``3,2^4,1``; the sequences of one command may expand to at most ten
+million entries in all), or one sequence per line via ``--file`` (``-``
+for stdin) in place of entries. The same ceiling holds for degree
+bounds, decoded count vectors and harness streams. ``check --file``
+reads every nonblank line and refuses a file with none; the other
+commands need exactly one nonblank line, two for ``compare``.
 
 Exit codes: 0 success / order holds, 1 negative verdict, 2 usage or
 parse error. The handlers return 0 or 1 from a verdict and raise on
@@ -63,7 +63,8 @@ def _within_ceiling(size: int, what: str) -> None:
         raise ValueError(f"{what} {size} is above the ceiling of {_MAX_ENTRIES} entries")
 
 
-def _expand_tokens(text: str) -> list[int]:
+def _expand_tokens(text: str, room: int) -> list[int]:
+    """The entries of ``text``; a power past ``room`` entries in all is refused unexpanded."""
     entries: list[int] = []
     for token in text.replace(",", " ").split():
         match = _POWER.match(token)
@@ -72,7 +73,7 @@ def _expand_tokens(text: str) -> list[int]:
                 entry, copies = int(match.group(1)), int(match.group(2))
             except ValueError:  # more digits than int() accepts
                 raise ValueError(f"cannot parse token {token!r}") from None
-            if len(entries) + copies > _MAX_ENTRIES:
+            if len(entries) + copies > room:
                 raise ValueError(
                     f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
             entries.extend([entry] * copies)
@@ -122,8 +123,10 @@ def _sequence_texts(args, needed: int) -> list[str]:
 def _read_sequences(args, needed: int) -> list[IntegerSequence]:
     """Parse the texts of :func:`_sequence_texts`, dropping zeros on ``--strip-zeros``."""
     sequences = []
+    room = _MAX_ENTRIES  # one ceiling for all the texts of a command
     for text in _sequence_texts(args, needed):
-        entries = _expand_tokens(text)
+        entries = _expand_tokens(text, room)
+        room -= len(entries)
         if args.strip_zeros:
             entries = [e for e in entries if e != 0]
         sequences.append(parse_sequence(entries))
@@ -227,7 +230,7 @@ def cmd_realize(args) -> int:
 def cmd_regularity(args) -> int:
     if args.decode:
         [text] = _sequence_texts(args, needed=1)
-        descending = _expand_tokens(text)
+        descending = _expand_tokens(text, _MAX_ENTRIES)
         if any(c < 0 for c in descending):
             raise ValueError("counts must be nonnegative")
         _within_ceiling(sum(descending), "count vector total")

@@ -2,14 +2,15 @@
 
 Loop-free and multi-edge-free throughout; isolated vertices are allowed
 (they matter for induced subgraphs even though degree sequences never
-contain zeros).
+contain zeros). ``SimpleGraph`` takes its edges as any iterable of
+(u, v) pairs and stores them once, as a frozenset of tuples with u < v.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
 
 
 # Edges between vertices below this label are shared tuple objects, much as
@@ -23,13 +24,18 @@ _SHARED_EDGES = tuple(tuple((u, v) for v in range(_SHARED_LABELS))
 
 @dataclass(frozen=True, slots=True)
 class SimpleGraph:
-    """An undirected graph: ``vertex_count`` vertices, edges as (u, v) with u < v."""
+    """An undirected graph: ``vertex_count`` vertices, edges as (u, v) with u < v.
+
+    ``edges`` may be any iterable of pairs, in either order and with
+    repeats; it is stored as a frozenset of normalized tuples.
+    """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         shared = _SHARED_EDGES
         normalized = set()
@@ -37,9 +43,8 @@ class SimpleGraph:
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(
-                    f"edge ({u}, {v}) out of range for {self.vertex_count} vertices")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u > v:
                 u, v = v, u
                 edge = (u, v)
@@ -48,30 +53,12 @@ class SimpleGraph:
             # otherwise the caller's normalized tuple is kept, so a graph
             # built from another graph's edges allocates no new tuples
             normalized.add(shared[u][v] if v < _SHARED_LABELS else edge)
+        # a frozenset copied from a set is sized to fit; grown edge by edge, it can be twice as big
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-def graph_from_edges(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> SimpleGraph:
-    return SimpleGraph(vertex_count, frozenset(tuple(p) for p in pairs))
-
-
-def sorted_edges(graph: SimpleGraph) -> list[tuple[int, int]]:
-    return sorted(graph.edges)
-
-
-def adjacency(graph: SimpleGraph) -> list[list[int]]:
-    """Sorted neighbor lists, one per vertex."""
-    neigh: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, v in sorted(graph.edges):
-        neigh[u].append(v)
-        neigh[v].append(u)
-    for lst in neigh:
-        lst.sort()
-    return neigh
 
 
 def degree_sequence(graph: SimpleGraph) -> list[int]:
@@ -86,9 +73,9 @@ def degree_sequence(graph: SimpleGraph) -> list[int]:
 def disjoint_union(first: SimpleGraph, second: SimpleGraph) -> SimpleGraph:
     """Place ``second`` after ``first``, shifting its vertex labels."""
     shift = first.vertex_count
-    edges = set(first.edges)
-    edges.update((u + shift, v + shift) for u, v in second.edges)
-    return SimpleGraph(first.vertex_count + second.vertex_count, frozenset(edges))
+    shifted = ((u + shift, v + shift) for u, v in second.edges)
+    return SimpleGraph(first.vertex_count + second.vertex_count,
+                       chain(first.edges, shifted))
 
 
 def components_with_vertices(graph: SimpleGraph) -> list[tuple[SimpleGraph, tuple[int, ...]]]:
@@ -98,7 +85,10 @@ def components_with_vertices(graph: SimpleGraph) -> list[tuple[SimpleGraph, tupl
     the paired tuple maps new label -> original vertex. Components are
     ordered by their smallest original vertex.
     """
-    neigh = adjacency(graph)
+    neigh: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for u, v in graph.edges:
+        neigh[u].append(v)
+        neigh[v].append(u)
     component = [-1] * graph.vertex_count
     position = [0] * graph.vertex_count
     members_of: list[list[int]] = []
@@ -125,7 +115,7 @@ def components_with_vertices(graph: SimpleGraph) -> list[tuple[SimpleGraph, tupl
     edges_of: list[list[tuple[int, int]]] = [[] for _ in members_of]
     for u, v in graph.edges:
         edges_of[component[u]].append((position[u], position[v]))
-    return [(SimpleGraph(len(members), frozenset(edges)), tuple(members))
+    return [(SimpleGraph(len(members), edges), tuple(members))
             for members, edges in zip(members_of, edges_of)]
 
 
@@ -160,7 +150,7 @@ def from_edge_list_text(text: str) -> SimpleGraph:
         edges.append((int(u), int(v)))
     if vertex_count is None:
         raise ValueError("missing 'p <vertex_count>' header line")
-    return SimpleGraph(vertex_count, frozenset(edges))
+    return SimpleGraph(vertex_count, edges)
 
 
 def to_json_dict(graph: SimpleGraph) -> dict:
@@ -171,8 +161,7 @@ def to_json_dict(graph: SimpleGraph) -> dict:
 
 
 def from_json_dict(data: dict) -> SimpleGraph:
-    return SimpleGraph(data["vertex_count"],
-                       frozenset((u, v) for u, v in data["edges"]))
+    return SimpleGraph(data["vertex_count"], data["edges"])
 
 
 def to_json_text(graph: SimpleGraph) -> str:

@@ -129,10 +129,8 @@ def canonical_form(graph: SimpleGraph,
 
     search(False)
     position = {v: i for i, v in enumerate(best_perm)}
-    edges = frozenset(
-        (min(position[u], position[v]), max(position[u], position[v]))
-        for u, v in graph.edges)
-    return SimpleGraph(n, edges), best_perm
+    relabeled = ((position[u], position[v]) for u, v in graph.edges)
+    return SimpleGraph(n, relabeled), best_perm
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +246,43 @@ def labeled_realizations(seq: IntegerSequence) -> Iterator[SimpleGraph]:
     nothing for containment questions (they are isomorphism-invariant).
     """
     n = seq.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if any(d > n - 1 for d in seq.entries):
+        return
+    pairs = list(combinations(range(n), 2))
     residual = list(seq.entries)
-    capacity = [n - 1] * n
     chosen: list[tuple[int, int]] = []
-
-    def rec(t: int) -> Iterator[SimpleGraph]:
+    # Depth first, skip before take: branch[t] is 0 on entering pair t, 1 once
+    # its skip is explored, 2 while it is taken. After pair (u, v), u is in
+    # n-1-v of the pairs left and v in n-2-u, which bounds a skip.
+    branch = [0]
+    while branch:
+        t = len(branch) - 1
         if t == len(pairs):
-            yield SimpleGraph(n, frozenset(chosen))
-            return
+            yield SimpleGraph(n, chosen)
+            branch.pop()
+            continue
         u, v = pairs[t]
-        capacity[u] -= 1
-        capacity[v] -= 1
-        if residual[u] <= capacity[u] and residual[v] <= capacity[v]:
-            yield from rec(t + 1)
-        if residual[u] > 0 and residual[v] > 0:
+        if branch[t] == 0:
+            branch[t] = 1
+            if residual[u] <= n - 1 - v and residual[v] <= n - 2 - u:
+                branch.append(0)
+        elif branch[t] == 1 and residual[u] > 0 and residual[v] > 0:
+            branch[t] = 2
             residual[u] -= 1
             residual[v] -= 1
             chosen.append((u, v))
-            yield from rec(t + 1)
-            chosen.pop()
-            residual[u] += 1
-            residual[v] += 1
-        capacity[u] += 1
-        capacity[v] += 1
-
-    if any(d > n - 1 for d in seq.entries):
-        return
-    yield from rec(0)
+            branch.append(0)
+        else:
+            if branch[t] == 2:
+                chosen.pop()
+                residual[u] += 1
+                residual[v] += 1
+            branch.pop()
 
 
 def _induced_on(host: SimpleGraph, vertices: tuple[int, ...]) -> SimpleGraph:
     index = {v: i for i, v in enumerate(vertices)}
-    edges = frozenset(
-        (min(index[u], index[v]), max(index[u], index[v]))
-        for u, v in host.edges if u in index and v in index)
+    edges = ((index[u], index[v]) for u, v in host.edges if u in index and v in index)
     return SimpleGraph(len(vertices), edges)
 
 
@@ -353,12 +353,12 @@ def rao_leq_sufficient(d_small: IntegerSequence, d_large: IntegerSequence,
             return None
     edges: list[tuple[int, int]] = []
     _reduce(d_small, 0, edges)
-    small_graph = SimpleGraph(d_small.n, frozenset(edges))
+    small_graph = SimpleGraph(d_small.n, edges)
     embedding = tuple(range(d_small.n))
     if rest is None:
         return RaoWitness(small_graph, small_graph, embedding)
     _reduce(rest, d_small.n, edges)
-    big = SimpleGraph(d_small.n + rest.n, frozenset(edges))
+    big = SimpleGraph(d_small.n + rest.n, edges)
     return RaoWitness(small_graph, big, embedding)
 
 
@@ -401,15 +401,28 @@ def higman_embeds(first: Parts, second: Parts, induced_cap: int = DEFAULT_PART_C
     embeddings = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
                    for other, _ in second]
                   for part, _ in first]
+    candidates = [[j for j, embedding in enumerate(row) if embedding is not None]
+                  for row in embeddings]
     match_right = [-1] * len(second)
 
-    def augment(i: int, visited: list[bool]) -> bool:
-        for j, embedding in enumerate(embeddings[i]):
-            if embedding is not None and not visited[j]:
-                visited[j] = True
-                if match_right[j] == -1 or augment(match_right[j], visited):
+    def augment(root: int, visited: list[bool]) -> bool:
+        # depth first on an explicit stack, as a path through k equal parts is
+        # k deep; a frame is [part, its untried columns, the column it tries]
+        stack = [[root, iter(candidates[root]), -1]]
+        while stack:
+            frame = stack[-1]
+            j = next((j for j in frame[1] if not visited[j]), -1)
+            frame[2] = j
+            if j < 0:
+                stack.pop()
+            elif match_right[j] < 0:
+                for i, _, j in stack:
                     match_right[j] = i
-                    return True
+                return True
+            else:
+                visited[j] = True
+                i = match_right[j]
+                stack.append([i, iter(candidates[i]), -1])
         return False
 
     # a part left unmatched now stays unmatched, so the first failure decides

@@ -69,7 +69,7 @@ def realize(seq: IntegerSequence) -> SimpleGraph:
     require_graphic(seq)
     edges: list[tuple[int, int]] = []
     _reduce(seq, 0, edges)
-    return SimpleGraph(seq.n, frozenset(edges))
+    return SimpleGraph(seq.n, edges)
 
 
 def plan_bounded(seq: IntegerSequence) -> tuple[IntegerSequence, ...]:
@@ -125,4 +125,4 @@ def realize_bounded(seq: IntegerSequence) -> SimpleGraph:
     for block in plan_bounded(seq):
         _reduce(block, offset, edges)
         offset += block.n
-    return SimpleGraph(offset, frozenset(edges))
+    return SimpleGraph(offset, edges)

@@ -97,6 +97,30 @@ def brute_induced_embedding_exists(small: SimpleGraph, host: SimpleGraph) -> boo
     return False
 
 
+def recursive_kuhn_matching(table: list[list[bool]], columns: int) -> list[int] | None:
+    """Kuhn's augmenting-path matching of every row into a distinct column.
+
+    The textbook recursive form, columns tried in ascending order. Returns
+    the row matched to each column (-1 for none), or None as soon as a row
+    stays unmatched.
+    """
+    match = [-1] * columns
+
+    def augment(i: int, visited: list[bool]) -> bool:
+        for j, ok in enumerate(table[i]):
+            if ok and not visited[j]:
+                visited[j] = True
+                if match[j] == -1 or augment(match[j], visited):
+                    match[j] = i
+                    return True
+        return False
+
+    for i in range(len(table)):
+        if not augment(i, [False] * columns):
+            return None
+    return match
+
+
 def random_graphic_sequence(rng: random.Random, max_entry: int,
                             max_length: int) -> IntegerSequence:
     """Rejection-sample a graphic sequence (parity repaired, then EG-filtered)."""

@@ -98,6 +98,13 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: sequence expands past 6 entries")
 
+    def test_power_ceiling_counts_every_file_line(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        path = tmp_path / "seqs.txt"
+        path.write_text("1^4\n1^4\n")
+        assert run_cli("check", "--file", str(path)) == (
+            2, "", "error: sequence expands past 6 entries at token '1^4'\n")
+
     @pytest.mark.parametrize("text", ["1^" + "9" * 5000, "9" * 5000 + "^1", "9" * 5000],
                              ids=["long-count", "long-entry", "long-plain"])
     def test_numbers_past_the_digit_limit(self, text):

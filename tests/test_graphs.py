@@ -8,24 +8,21 @@ from hypothesis import strategies as st
 
 from degseq.graphs import (
     SimpleGraph,
-    adjacency,
     components,
     components_with_vertices,
     degree_sequence,
     disjoint_union,
     from_edge_list_text,
     from_json_dict,
-    graph_from_edges,
-    sorted_edges,
     to_edge_list_text,
     to_json_dict,
     to_json_text,
 )
 
-K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-K4 = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-P3 = graph_from_edges(3, [(0, 1), (1, 2)])
-EDGE = graph_from_edges(2, [(0, 1)])
+K3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+K4 = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+P3 = SimpleGraph(3, [(0, 1), (1, 2)])
+EDGE = SimpleGraph(2, [(0, 1)])
 
 
 @st.composite
@@ -43,14 +40,26 @@ def graphs(draw, max_n=8):
 class TestValidation:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            graph_from_edges(2, [(0, 0)])
+            SimpleGraph(2, [(0, 0)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            graph_from_edges(2, [(0, 2)])
+            SimpleGraph(2, [(0, 2)])
 
     def test_normalizes_edge_order(self):
-        assert graph_from_edges(3, [(2, 0)]) == graph_from_edges(3, [(0, 2)])
+        assert SimpleGraph(3, [(2, 0)]) == SimpleGraph(3, [(0, 2)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: [(2, 0), (0, 1)],
+        lambda: ((0, 1), (0, 2), (1, 0)),
+        lambda: ((u, v) for u, v in [(0, 2), (0, 1)]),
+        lambda: [[0, 1], [2, 0]],
+    ], ids=["list", "tuple", "generator", "lists"])
+    def test_any_iterable_of_pairs(self, make):
+        g = SimpleGraph(3, make())
+        assert g == SimpleGraph(3, frozenset({(0, 1), (0, 2)}))
+        assert type(g.edges) is frozenset
+        assert all(type(edge) is tuple for edge in g.edges)
 
 
 class TestDegreeSequence:
@@ -78,7 +87,7 @@ class TestDisjointUnion:
     def test_two_edges(self):
         g = disjoint_union(EDGE, EDGE)
         assert degree_sequence(g) == [1, 1, 1, 1]
-        assert sorted_edges(g) == [(0, 1), (2, 3)]
+        assert sorted(g.edges) == [(0, 1), (2, 3)]
 
     @given(graphs(max_n=6), graphs(max_n=6))
     def test_degree_additivity(self, g1, g2):
@@ -117,14 +126,6 @@ class TestComponents:
             induced = frozenset((index[u], index[v]) for u, v in g.edges
                                 if u in index and v in index)
             assert part == SimpleGraph(len(members), induced)
-
-    @given(graphs())
-    def test_adjacency_is_symmetric_and_sorted(self, g):
-        neigh = adjacency(g)
-        for u, lst in enumerate(neigh):
-            assert lst == sorted(lst)
-            for v in lst:
-                assert u in neigh[v]
 
 
 class TestSerialization:

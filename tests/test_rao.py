@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -12,7 +14,6 @@ from degseq.graphs import (
     components_with_vertices,
     degree_sequence,
     disjoint_union,
-    graph_from_edges,
 )
 from degseq.harness import enumerate_graphic
 from degseq.rao import (
@@ -40,13 +41,14 @@ from oracles import (
     brute_induced_embedding_exists,
     brute_minimum_code,
     permutation_code,
+    recursive_kuhn_matching,
 )
 
-K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-K4 = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-C5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-P3 = graph_from_edges(3, [(0, 1), (1, 2)])
+K3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+K4 = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+C4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+C5 = SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+P3 = SimpleGraph(3, [(0, 1), (1, 2)])
 
 
 def relabeled(graph, perm):
@@ -122,9 +124,34 @@ class TestCanonicalForm:
 
 
 class TestLabeledRealizations:
+    def test_first_graph_of_a_long_sequence(self):
+        # 1035 vertex pairs, one search level each
+        first = next(labeled_realizations(parse_sequence([2] * 46)))
+        degrees = [0] * 46
+        for u, v in first.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        assert degrees == [2] * 46
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pinned_graph_in_indicator_order(self, n):
+        pairs = list(combinations(range(n), 2))
+        by_degrees = {}
+        for g in all_graphs(n):
+            degrees = [0] * n
+            for u, v in g.edges:
+                degrees[u] += 1
+                degrees[v] += 1
+            by_degrees.setdefault(tuple(degrees), []).append(g)
+        for degrees, expected in by_degrees.items():
+            if 0 in degrees or list(degrees) != sorted(degrees, reverse=True):
+                continue
+            expected.sort(key=lambda g: [pair in g.edges for pair in pairs])
+            assert list(labeled_realizations(parse_sequence(degrees))) == expected
+
     def test_single_edge(self):
         graphs = list(labeled_realizations(parse_sequence([1, 1])))
-        assert graphs == [graph_from_edges(2, [(0, 1)])]
+        assert graphs == [SimpleGraph(2, [(0, 1)])]
 
     def test_two_regular_on_four_gives_all_cycles(self):
         graphs = list(labeled_realizations(parse_sequence([2, 2, 2, 2])))
@@ -290,6 +317,36 @@ class TestDecompose:
 
 
 class TestHigmanEmbeds:
+    def test_long_augmenting_paths_without_recursion(self, monkeypatch):
+        # every part embeds everywhere, so part i reaches a free part only
+        # along an augmenting path through all i parts matched before it
+        monkeypatch.setattr(rao, "is_induced_subgraph",
+                            lambda small, host, max_host_vertices: (0,))
+        point = SimpleGraph(1, [])
+        first = [(point, (i,)) for i in range(200)]
+        second = [(point, (j,)) for j in range(220)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            matched = higman_embeds(first, second)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert matched == {i: (199 - i, (0,)) for i in range(200)}
+
+    def test_matching_follows_recursive_kuhn(self, monkeypatch):
+        rng = random.Random(3)
+        for _ in range(500):
+            k, m = rng.randint(0, 6), rng.randint(0, 7)
+            table = [[rng.random() < 0.4 for _ in range(m)] for _ in range(k)]
+            # parts are their indices here, an embedding the index pair
+            monkeypatch.setattr(rao, "is_induced_subgraph",
+                                lambda i, j, max_host_vertices: (i, j) if table[i][j] else None)
+            match = recursive_kuhn_matching(table, m)
+            expected = None if match is None else {
+                i: (j, (i, j)) for j, i in enumerate(match) if i != -1}
+            assert higman_embeds([(i, ()) for i in range(k)],
+                                 [(j, ()) for j in range(m)]) == expected
+
     def test_sub_multiset_equality(self):
         assert higman_embeds(decompose(K3), decompose(disjoint_union(K3, C4))) is not None
 
@@ -304,7 +361,7 @@ class TestHigmanEmbeds:
     def test_matching_avoids_greedy_trap(self):
         # the edge relates to both parts; a greedy scan that eats the
         # triangle's only image first would fail, matching must not
-        first = decompose(disjoint_union(graph_from_edges(2, [(0, 1)]), K3))
+        first = decompose(disjoint_union(SimpleGraph(2, [(0, 1)]), K3))
         second = decompose(disjoint_union(K3, C4))
         matched = higman_embeds(first, second)
         assert matched is not None
