@@ -64,18 +64,22 @@ def _within_ceiling(size: int, what: str) -> None:
 
 
 def _expand_tokens(text: str, room: int) -> list[int]:
-    """The entries of ``text``; a power past ``room`` entries in all is refused unexpanded."""
+    """The entries of ``text``; a token past ``room`` entries in all is refused unexpanded."""
     entries: list[int] = []
     for token in text.replace(",", " ").split():
-        match = _POWER.match(token)
+        # the substring test spares plain tokens the regex, which pays for
+        # their ceiling check
+        match = "^" in token and _POWER.match(token)
+        copies = 1
         if match:
             try:
                 entry, copies = int(match.group(1)), int(match.group(2))
             except ValueError:  # more digits than int() accepts
                 raise ValueError(f"cannot parse token {token!r}") from None
-            if len(entries) + copies > room:
-                raise ValueError(
-                    f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
+        if len(entries) + copies > room:
+            raise ValueError(
+                f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
+        if match:
             entries.extend([entry] * copies)
             continue
         try:

@@ -396,11 +396,22 @@ def higman_embeds(first: Parts, second: Parts, induced_cap: int = DEFAULT_PART_C
     of part i of ``first`` into part j of ``second``, or None when no
     injective assignment exists. Decided by maximum bipartite matching
     (augmenting paths), so one small part relating to several images
-    never causes a false negative.
+    never causes a false negative. Each distinct pair of part graphs is
+    searched once: equal parts, as a long regular sequence realizes, share
+    the answer.
     """
-    embeddings = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
-                   for other, _ in second]
-                  for part, _ in first]
+    def distinct(parts: Parts) -> tuple[list[SimpleGraph], list[int]]:
+        # the distinct graphs in order of first appearance, and each part's index among them
+        index: dict[SimpleGraph, int] = {}
+        classes = [index.setdefault(part, len(index)) for part, _ in parts]
+        return list(index), classes
+
+    graphs_first, class_first = distinct(first)
+    graphs_second, class_second = distinct(second)
+    table = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
+              for other in graphs_second]
+             for part in graphs_first]
+    embeddings = [[table[a][b] for b in class_second] for a in class_first]
     candidates = [[j for j, embedding in enumerate(row) if embedding is not None]
                   for row in embeddings]
     match_right = [-1] * len(second)

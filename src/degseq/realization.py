@@ -3,7 +3,9 @@
 Both constructions share one highest-degree-first reduction: the vertex
 with the largest remaining demand is wired to the next-largest demands,
 which succeeds for every graphic input and is deterministic (ties break
-on vertex index).
+on vertex index). A bucket queue, one min-heap of vertex indices per
+remaining demand, finds both without re-sorting, so a block of n
+vertices and m edges is reduced in O(m log n + d1).
 
 ``realize_bounded`` keeps every connected component small. With L = d1^2
 a sequence shorter than L is one block; a longer one is cut into
@@ -18,6 +20,8 @@ side by side into one graph with no component above 3 * d1^2 vertices.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .errors import NotGraphicError
 from .graphs import SimpleGraph
@@ -41,24 +45,43 @@ def _reduce(block: IntegerSequence, offset: int, edges: list[tuple[int, int]]) -
     """Append the edges of the reduction of graphic ``block`` to ``edges``.
 
     Vertex i of the block is vertex ``offset + i`` of the edge list, one
-    int object that all edges of the vertex share.
+    int object that all edges of the vertex share. Order the vertices by
+    highest residual, then lowest index; each step wires the first one to
+    as many of the next as its residual.
+
+    ``buckets[r]`` is a min-heap of the labels whose residual is r: a
+    step pops the lowest label of the highest nonempty bucket, takes its
+    targets as the lowest labels of the buckets from there down, and
+    pushes each target one bucket lower; a residual of 0 leaves the
+    queue. One pop and one push per edge make O(m log n + d1) for m edges.
     """
-    n = block.n
-    residual = list(block.entries)
-    label = list(range(offset, offset + n))
+    # the entries are nonincreasing, so each bucket starts as an ascending
+    # run of labels, which is already a heap
+    buckets: list[list[int]] = [[] for _ in range(block.max_degree + 1)]
+    for label, entry in enumerate(block.entries, offset):
+        buckets[entry].append(label)
+    top = block.max_degree
     while True:
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
-        v = order[0]
-        demand = residual[v]
-        if demand == 0:
+        while top and not buckets[top]:
+            top -= 1
+        if top == 0:
             return
-        targets = order[1:demand + 1]
-        if len(targets) < demand or residual[targets[-1]] == 0:
-            raise RuntimeError(f"reduction failed on graphic input {block}")
-        residual[v] = 0
-        for u in targets:
-            residual[u] -= 1
-            edges.append((label[u], label[v]) if u < v else (label[v], label[u]))
+        v = heappop(buckets[top])
+        # all targets are taken before any moves down a bucket, so none is
+        # taken twice
+        targets: list[tuple[int, int]] = []
+        r = top
+        while len(targets) < top:
+            if r == 0:
+                raise RuntimeError(f"reduction failed on graphic input {block}")
+            bucket = buckets[r]
+            while bucket and len(targets) < top:
+                targets.append((r, heappop(bucket)))
+            r -= 1
+        for r, u in targets:
+            if r > 1:
+                heappush(buckets[r - 1], u)
+            edges.append((u, v) if u < v else (v, u))
 
 
 def realize(seq: IntegerSequence) -> SimpleGraph:

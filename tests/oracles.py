@@ -121,6 +121,33 @@ def recursive_kuhn_matching(table: list[list[bool]], columns: int) -> list[int] 
     return match
 
 
+def resort_reduction(block: IntegerSequence, offset: int) -> list[tuple[int, int]]:
+    """The edges of the highest-degree-first reduction, re-sorting every step.
+
+    At each step all n vertices are sorted by (highest residual, lowest
+    index); the first is wired to the next ``demand`` vertices. Vertex i
+    is labeled ``offset + i``. O(n^2 log n), kept as the reference for the
+    library's bucket-queue reduction, whose edges must equal these in
+    the same order.
+    """
+    n = block.n
+    residual = list(block.entries)
+    edges = []
+    while True:
+        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        v = order[0]
+        demand = residual[v]
+        if demand == 0:
+            return edges
+        targets = order[1:demand + 1]
+        if len(targets) < demand or residual[targets[-1]] == 0:
+            raise RuntimeError(f"reduction failed on graphic input {block}")
+        residual[v] = 0
+        for u in targets:
+            residual[u] -= 1
+            edges.append((offset + min(u, v), offset + max(u, v)))
+
+
 def random_graphic_sequence(rng: random.Random, max_entry: int,
                             max_length: int) -> IntegerSequence:
     """Rejection-sample a graphic sequence (parity repaired, then EG-filtered)."""

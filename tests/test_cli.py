@@ -98,6 +98,14 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: sequence expands past 6 entries")
 
+    def test_plain_tokens_count_toward_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
+        assert run_cli("check", "1,1,1,1,1,1") == (0, "graphic\n", "")
+        assert run_cli("check", "1,1,1,1,1,1,1,1") == (
+            2, "", "error: sequence expands past 6 entries at token '1'\n")
+        assert run_cli("check", "1^6", "1") == (
+            2, "", "error: sequence expands past 6 entries at token '1'\n")
+
     def test_power_ceiling_counts_every_file_line(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
         path = tmp_path / "seqs.txt"

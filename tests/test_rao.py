@@ -333,6 +333,21 @@ class TestHigmanEmbeds:
             sys.setrecursionlimit(limit)
         assert matched == {i: (199 - i, (0,)) for i in range(200)}
 
+    def test_equal_parts_are_searched_once(self, monkeypatch):
+        calls = []
+
+        def counted(small, host, max_host_vertices):
+            calls.append((small, host))
+            return (0, 1)
+
+        monkeypatch.setattr(rao, "is_induced_subgraph", counted)
+        # equal graphs, but a distinct object for every part
+        first = [(SimpleGraph(2, [(0, 1)]), (2 * i, 2 * i + 1)) for i in range(200)]
+        second = [(SimpleGraph(2, [(0, 1)]), (2 * j, 2 * j + 1)) for j in range(220)]
+        matched = higman_embeds(first, second)
+        assert len(calls) == 1
+        assert sorted(j for j, _ in matched.values()) == list(range(200))
+
     def test_matching_follows_recursive_kuhn(self, monkeypatch):
         rng = random.Random(3)
         for _ in range(500):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from degseq import realization
 from degseq.errors import NotGraphicError
 from degseq.graphs import components, degree_sequence, disjoint_union
-from degseq.realization import plan_bounded, realize, realize_bounded, require_graphic
+from degseq.harness import enumerate_graphic
+from degseq.realization import _reduce, plan_bounded, realize, realize_bounded, require_graphic
 from degseq.sequences import erdos_gallai_check, parse_sequence
-from oracles import random_graphic_sequence
+from oracles import random_graphic_sequence, resort_reduction
 
 raw_lists = st.lists(st.integers(1, 4), min_size=1, max_size=16)
 
@@ -60,6 +61,30 @@ class TestRealize:
     @given(graphic_sequences())
     def test_degrees_always_match(self, seq):
         assert degree_sequence(realize(seq)) == list(seq.entries)
+
+
+def reduced(seq, offset=0):
+    edges = []
+    _reduce(seq, offset, edges)
+    return edges
+
+
+class TestReduceMatchesResort:
+    """The bucket queue keeps the re-sort's tie-break, so every edge stays put."""
+
+    def test_every_small_graphic_sequence(self):
+        for seq in enumerate_graphic(4, 9):
+            assert reduced(seq, 5) == resort_reduction(seq, 5), seq
+
+    @given(st.builds(random_graphic_sequence, st.randoms(use_true_random=False),
+                     st.integers(1, 60), st.just(300)))
+    def test_random_graphic_sequences(self, seq):
+        assert reduced(seq) == resort_reduction(seq, 0)
+
+    @pytest.mark.parametrize("entries", [[3] * 500, [40] * 200, [7] * 60 + [2] * 90 + [1] * 4])
+    def test_long_sequences(self, entries):
+        seq = parse_sequence(entries)
+        assert reduced(seq, 11) == resort_reduction(seq, 11)
 
 
 class TestPlanBounded:
