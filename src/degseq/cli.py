@@ -65,8 +65,14 @@ def _within_ceiling(size: int, what: str) -> None:
 
 def _expand_tokens(text: str, room: int) -> list[int]:
     """The entries of ``text``; a token past ``room`` entries in all is refused unexpanded."""
+    tokens = text.replace(",", " ").split()
+    if "^" not in text and len(tokens) <= room:
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # the loop below names the token
+            pass
     entries: list[int] = []
-    for token in text.replace(",", " ").split():
+    for token in tokens:
         # the substring test spares plain tokens the regex, which pays for
         # their ceiling check
         match = "^" in token and _POWER.match(token)

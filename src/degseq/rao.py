@@ -30,7 +30,7 @@ labeling; no route uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Iterator, Literal, Optional
 
 from .errors import CapExceededError
@@ -411,35 +411,38 @@ def higman_embeds(first: Parts, second: Parts, induced_cap: int = DEFAULT_PART_C
     table = [[is_induced_subgraph(part, other, max_host_vertices=induced_cap)
               for other in graphs_second]
              for part in graphs_first]
-    embeddings = [[table[a][b] for b in class_second] for a in class_first]
-    candidates = [[j for j, embedding in enumerate(row) if embedding is not None]
-                  for row in embeddings]
+    # the columns each class of ``first`` embeds into, ascending
+    candidates = [[j for j, b in enumerate(class_second) if row[b] is not None]
+                  for row in table]
     match_right = [-1] * len(second)
 
     def augment(root: int, visited: list[bool]) -> bool:
         # depth first on an explicit stack, as a path through k equal parts is
-        # k deep; a frame is [part, its untried columns, the column it tries]
-        stack = [[root, iter(candidates[root]), -1]]
+        # k deep; a frame is [part, the column it tries]. A column passed in
+        # this call stays visited, so the frames of one class can share one
+        # scan of its candidates and keep the recursive search order: k equal
+        # parts cost O(k * m) steps, not O(k^2 * m)
+        scans = [filterfalse(visited.__getitem__, columns) for columns in candidates]
+        stack = [[root, -1]]
         while stack:
             frame = stack[-1]
-            j = next((j for j in frame[1] if not visited[j]), -1)
-            frame[2] = j
+            j = frame[1] = next(scans[class_first[frame[0]]], -1)
             if j < 0:
                 stack.pop()
             elif match_right[j] < 0:
-                for i, _, j in stack:
+                for i, j in stack:
                     match_right[j] = i
                 return True
             else:
                 visited[j] = True
-                i = match_right[j]
-                stack.append([i, iter(candidates[i]), -1])
+                stack.append([match_right[j], -1])
         return False
 
     # a part left unmatched now stays unmatched, so the first failure decides
     if not all(augment(i, [False] * len(second)) for i in range(len(first))):
         return None
-    return {i: (j, embeddings[i][j]) for j, i in enumerate(match_right) if i != -1}
+    return {i: (j, table[class_first[i]][class_second[j]])
+            for j, i in enumerate(match_right) if i != -1}
 
 
 def rao_leq_via_components(d_small: IntegerSequence, d_large: IntegerSequence,

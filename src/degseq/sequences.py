@@ -5,6 +5,11 @@ with even sum is graphic exactly when every prefix of length k satisfies
 
     d_1 + ... + d_k  <=  k(k-1) + sum over i > k of min(d_i, k).
 
+By Tripathi and Vijay (Discrete Math. 265, 2003) the inequality need only
+be tested where a run of equal entries ends, so the test costs a few
+binary searches per distinct entry value, O(r log n) for r distinct
+values, on top of a sum and a reversed copy of the entries made in C.
+
 Alongside it live the length-based sufficiency shortcut (even sum and at
 least d1^2 entries force graphicality) and the regularity-count encoding
 that records how often each degree value occurs.
@@ -12,10 +17,9 @@ that records how often each degree value occurs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable
 
 
@@ -26,13 +30,19 @@ class IntegerSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries:
             raise ValueError("sequence must have at least one entry")
-        if any(e < 1 for e in self.entries):
-            raise ValueError(f"entries must be >= 1, got {list(self.entries)}")
-        if any(a < b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries must be nonincreasing, got {list(self.entries)}")
+        # min() and sorted() run in C, and sorted() is linear on sorted input;
+        # only a failure walks the entries in Python, to name the culprit
+        if min(entries) < 1:
+            at = next(i for i, e in enumerate(entries) if e < 1)
+            raise ValueError(f"entries must be >= 1, got {entries[at]} at position {at + 1}")
+        if sorted(entries, reverse=True) != list(entries):
+            at = next(i for i in range(1, len(entries)) if entries[i - 1] < entries[i])
+            raise ValueError(f"entries must be nonincreasing, got {entries[at]}"
+                             f" after {entries[at - 1]} at position {at + 1}")
 
     @property
     def n(self) -> int:
@@ -78,34 +88,60 @@ def erdos_gallai_check(seq: IntegerSequence) -> GraphicalityVerdict:
     """Decide whether ``seq`` is the degree sequence of a simple graph.
 
     An odd degree sum yields ``GraphicalityVerdict(False, None)``.
-    Otherwise every prefix length k in 1..n is tested and the smallest
-    violated k is reported together with both sides of its inequality.
+    Otherwise the inequality is tested at the end of every run of equal
+    entries, which decides graphicality (Tripathi and Vijay). The
+    smallest violated k lies in the first run whose end fails: before k
+    the inequality holds, and within a run that can hold a smallest
+    failure the slack rhs - lhs is concave in k, so it stays negative up
+    to the run end. That run alone is scanned k by k, and the smallest k
+    is reported together with both sides of its inequality. The cost is
+    O(r log n) for r distinct entry values, plus O(log n) per entry of
+    the failing run, after an O(n) sum and reversed copy made in C.
     """
     d = seq.entries
     n = len(d)
-    prefix = (0, *accumulate(d))
-    total = prefix[n]
+    total = sum(d)
     if total % 2 != 0:
         return GraphicalityVerdict(False, None)
     ascending = d[::-1]
-    for k in range(1, n + 1):
-        lhs = prefix[k]
-        # Entries >= k occupy a prefix of d; count them by binary search.
+    # d_{p+1} + ... + d_n at the run boundaries p met walking up from the bottom
+    below = {n: 0}
+    low = n
+
+    def rhs(k: int, lhs: int) -> int:
+        nonlocal low
+        # the entries >= k fill positions 1..ge, so ge is a run boundary
         ge = n - bisect_left(ascending, k)
-        capped = max(0, ge - k)          # i > k with d_i >= k contribute k each
-        tail_start = max(k, ge)          # positions beyond this have d_i < k
-        rhs = k * (k - 1) + k * capped + (total - prefix[tail_start])
-        if lhs > rhs:
-            return GraphicalityVerdict(False, k, lhs, rhs)
+        if ge <= k:  # every d_i with i > k is below k
+            return k * (k - 1) + total - lhs
+        while low > ge:
+            value = d[low - 1]
+            top = n - bisect_right(ascending, value)
+            below[top] = below[low] + value * (low - top)
+            low = top
+        return k * (k - 1) + k * (ge - k) + below[ge]
+
+    start = done = 0  # done is d_1 + ... + d_start
+    while start < n:
+        value = d[start]
+        end = n - bisect_left(ascending, value)
+        lhs = done + value * (end - start)
+        if lhs > rhs(end, lhs):
+            for k in range(start + 1, end + 1):
+                lhs = done + value * (k - start)
+                bound = rhs(k, lhs)
+                if lhs > bound:
+                    return GraphicalityVerdict(False, k, lhs, bound)
+        start, done = end, lhs
     return GraphicalityVerdict(True, None)
 
 
 def erdos_gallai_sides(seq: IntegerSequence, k: int) -> tuple[int, int]:
     """Return (lhs, rhs) of the prefix-k inequality by direct summation.
 
-    Independent of the bisect-based fast path in
-    :func:`erdos_gallai_check`; useful for re-checking the sides of a
-    failure certificate.
+    Sums the prefix and the capped tail entry by entry, without the run
+    structure :func:`erdos_gallai_check` relies on; useful for
+    re-checking the sides of a failure certificate.
     """
     if not 1 <= k <= seq.n:
         raise ValueError(f"k must be in 1..{seq.n}, got {k}")

@@ -8,12 +8,14 @@ decision procedures, so library results can be checked against them.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+import re
+from bisect import bisect_left
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
 from degseq.graphs import SimpleGraph
-from degseq.sequences import IntegerSequence, erdos_gallai_check
+from degseq.sequences import GraphicalityVerdict, IntegerSequence, erdos_gallai_check
 
 _MULTISET_CACHE: dict[int, set[tuple[int, ...]]] = {}
 
@@ -146,6 +148,60 @@ def resort_reduction(block: IntegerSequence, offset: int) -> list[tuple[int, int
         for u in targets:
             residual[u] -= 1
             edges.append((offset + min(u, v), offset + max(u, v)))
+
+
+def erdos_gallai_every_k(seq: IntegerSequence) -> GraphicalityVerdict:
+    """The Erdos-Gallai verdict from testing every prefix length k in turn.
+
+    One binary search per k; kept as the reference for the library's
+    run-end test, whose verdicts must equal these field for field.
+    """
+    d = seq.entries
+    n = len(d)
+    prefix = (0, *accumulate(d))
+    total = prefix[n]
+    if total % 2 != 0:
+        return GraphicalityVerdict(False, None)
+    ascending = d[::-1]
+    for k in range(1, n + 1):
+        lhs = prefix[k]
+        ge = n - bisect_left(ascending, k)  # entries >= k
+        capped = max(0, ge - k)
+        tail_start = max(k, ge)
+        rhs = k * (k - 1) + k * capped + (total - prefix[tail_start])
+        if lhs > rhs:
+            return GraphicalityVerdict(False, k, lhs, rhs)
+    return GraphicalityVerdict(True, None)
+
+
+def expand_tokens_one_by_one(text: str, room: int, ceiling: int) -> list[int]:
+    """Expand a sequence text token by token, as the CLI did before its fast path.
+
+    ``ceiling`` is the figure the refusal message names. Kept as the
+    reference for ``cli._expand_tokens``, whose entries and messages must
+    equal these.
+    """
+    power = re.compile(r"^(-?\d+)\^(\d+)$")
+    entries: list[int] = []
+    for token in text.replace(",", " ").split():
+        match = power.match(token)
+        copies = 1
+        if match:
+            try:
+                entry, copies = int(match.group(1)), int(match.group(2))
+            except ValueError:
+                raise ValueError(f"cannot parse token {token!r}") from None
+        if len(entries) + copies > room:
+            raise ValueError(
+                f"sequence expands past {ceiling} entries at token {token!r}")
+        if match:
+            entries.extend([entry] * copies)
+            continue
+        try:
+            entries.append(int(token))
+        except ValueError:
+            raise ValueError(f"cannot parse token {token!r}") from None
+    return entries
 
 
 def random_graphic_sequence(rng: random.Random, max_entry: int,

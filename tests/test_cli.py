@@ -11,6 +11,7 @@ from degseq.cli import main
 from degseq.graphs import from_edge_list_text, from_json_dict
 from degseq.rao import RaoWitness
 from degseq.sequences import parse_sequence
+from oracles import expand_tokens_one_by_one
 
 
 def run_cli(*argv, stdin=None):
@@ -52,8 +53,14 @@ class TestCheck:
         assert "cannot parse token" in err
 
     def test_zero_entry_rejected_without_flag(self):
-        code, _, _ = run_cli("check", "2,0,1")
-        assert code == 2
+        assert run_cli("check", "2,0,1") == (
+            2, "", "error: entries must be >= 1, got 0 at position 3\n")
+
+    def test_bad_token_near_the_end_of_a_long_line(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text(",".join(["2"] * 99_998 + ["x", "2"]) + "\n")
+        assert run_cli("check", "--file", str(path)) == (
+            2, "", "error: cannot parse token 'x'\n")
 
     def test_strip_zeros(self):
         code, out, _ = run_cli("check", "--strip-zeros", "2,0,1,1")
@@ -101,6 +108,8 @@ class TestCheck:
     def test_plain_tokens_count_toward_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_ENTRIES", 6)
         assert run_cli("check", "1,1,1,1,1,1") == (0, "graphic\n", "")
+        assert run_cli("check", "1,1,1,1,1,1,1") == (
+            2, "", "error: sequence expands past 6 entries at token '1'\n")
         assert run_cli("check", "1,1,1,1,1,1,1,1") == (
             2, "", "error: sequence expands past 6 entries at token '1'\n")
         assert run_cli("check", "1^6", "1") == (
@@ -512,3 +521,26 @@ class TestFuzz:
     def test_no_traceback_and_a_known_exit_code(self, command, texts):
         code, _, _ = run_cli(*command, *texts)
         assert code in (0, 1, 2)
+
+
+class TestExpandTokens:
+    @settings(max_examples=300)
+    @given(tokens=st.one_of(
+               st.lists(_TOKENS, max_size=12),
+               # no power notation at all, as most input lines are
+               st.lists(st.one_of(st.integers(-1, 12).map(str),
+                                  st.sampled_from(["x", "1e2", "", "+4", "1_0", "3.0"])),
+                        max_size=12)),
+           separator=st.sampled_from([",", " ", " , "]),
+           room=st.integers(0, 15))
+    def test_same_entries_or_message_as_the_per_token_loop(self, tokens, separator, room):
+        text = separator.join(tokens)
+
+        def outcome(expand, *args):
+            try:
+                return expand(text, room, *args)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(cli._expand_tokens) == outcome(expand_tokens_one_by_one,
+                                                      cli._MAX_ENTRIES)

@@ -1,7 +1,7 @@
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 import pytest
 from hypothesis import assume, given
@@ -347,6 +347,27 @@ class TestHigmanEmbeds:
         matched = higman_embeds(first, second)
         assert len(calls) == 1
         assert sorted(j for j, _ in matched.values()) == list(range(200))
+
+    def test_equal_parts_scan_each_column_once_per_augmenting_search(self, monkeypatch):
+        monkeypatch.setattr(rao, "is_induced_subgraph",
+                            lambda small, host, max_host_vertices: (0,))
+        scanned = []
+
+        def counted_filterfalse(predicate, columns):
+            def visited(j):
+                scanned.append(j)
+                return predicate(j)
+            return filterfalse(visited, columns)
+
+        monkeypatch.setattr(rao, "filterfalse", counted_filterfalse)
+        point = SimpleGraph(1, [])
+        k, m = 1000, 1100
+        matched = higman_embeds([(point, (i,)) for i in range(k)],
+                                [(point, (j,)) for j in range(m)])
+        assert matched == {i: (k - 1 - i, (0,)) for i in range(k)}
+        # the part matched i-th walks a path through all i parts before it;
+        # rescanning the columns passed at every step costs about k^3 / 6
+        assert len(scanned) <= k * m
 
     def test_matching_follows_recursive_kuhn(self, monkeypatch):
         rng = random.Random(3)

@@ -13,9 +13,13 @@ from degseq.sequences import (
     sufficient_by_length,
     to_regularity,
 )
-from oracles import is_graphic_by_enumeration
+from oracles import erdos_gallai_every_k, is_graphic_by_enumeration
 
 sequences = st.lists(st.integers(1, 6), min_size=1, max_size=10).map(parse_sequence)
+# a few runs of equal entries, long enough for the inequality to fail inside one
+long_run_sequences = st.lists(
+    st.tuples(st.integers(1, 80), st.integers(1, 60)), min_size=1, max_size=8,
+).map(lambda runs: parse_sequence([value for value, length in runs for _ in range(length)]))
 
 
 @st.composite
@@ -43,6 +47,23 @@ class TestParse:
     def test_direct_construction_requires_sorted(self):
         with pytest.raises(ValueError):
             IntegerSequence((1, 2))
+
+    def test_errors_name_the_first_offending_entry(self):
+        with pytest.raises(ValueError, match=r"^entries must be >= 1, got 0 at position 3$"):
+            parse_sequence([2, 0, 2])
+        with pytest.raises(ValueError, match=r"^entries must be >= 1, got -1 at position 2$"):
+            IntegerSequence((3, -1, 0))
+        with pytest.raises(ValueError,
+                           match=r"^entries must be nonincreasing, got 3 after 2 at position 3$"):
+            IntegerSequence((4, 2, 3, 1))
+
+    @pytest.mark.parametrize("entries", [(2,) * 99_999 + (0,), (1,) * 99_999 + (2,)],
+                             ids=["zero-last", "rise-last"])
+    def test_error_message_length_does_not_grow_with_the_input(self, entries):
+        with pytest.raises(ValueError) as caught:
+            IntegerSequence(entries)
+        assert str(caught.value).endswith("at position 100000")
+        assert len(str(caught.value)) < 80
 
 
 class TestErdosGallai:
@@ -87,6 +108,12 @@ class TestErdosGallai:
         for earlier in range(1, k):
             lhs, rhs = erdos_gallai_sides(seq, earlier)
             assert lhs <= rhs
+
+    @settings(max_examples=300)
+    @given(long_run_sequences)
+    def test_run_end_test_equals_every_k_test(self, seq):
+        # the smallest failing k may sit inside a long run, before its end
+        assert erdos_gallai_check(seq) == erdos_gallai_every_k(seq)
 
     def test_sides_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
