@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 import time
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from .errors import CapExceededError, GoodPairNotFound, NotGraphicError
 from .graphs import components, to_edge_list_text, to_json_dict
@@ -46,7 +50,7 @@ from .sequences import (
     RegularitySequence,
     erdos_gallai_check,
     from_regularity,
-    parse_sequence,
+    from_runs,
     sufficient_by_length,
     to_regularity,
 )
@@ -63,18 +67,15 @@ def _within_ceiling(size: int, what: str) -> None:
         raise ValueError(f"{what} {size} is above the ceiling of {_MAX_ENTRIES} entries")
 
 
-def _expand_tokens(text: str, room: int) -> list[int]:
-    """The entries of ``text``; a token past ``room`` entries in all is refused unexpanded."""
-    tokens = text.replace(",", " ").split()
-    if "^" not in text and len(tokens) <= room:
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # the loop below names the token
-            pass
-    entries: list[int] = []
+def _scan_tokens(tokens: Iterable[str], room: float) -> Iterator[tuple[int, int]]:
+    """``(entry, copies)`` for each token in order, ``d^k`` giving ``(d, k)``.
+
+    The first token that does not parse, or that takes the entries past
+    ``room`` in all, is refused by name before anything is expanded.
+    """
+    used = 0
     for token in tokens:
-        # the substring test spares plain tokens the regex, which pays for
-        # their ceiling check
+        # the substring test spares plain tokens the regex
         match = "^" in token and _POWER.match(token)
         copies = 1
         if match:
@@ -82,17 +83,53 @@ def _expand_tokens(text: str, room: int) -> list[int]:
                 entry, copies = int(match.group(1)), int(match.group(2))
             except ValueError:  # more digits than int() accepts
                 raise ValueError(f"cannot parse token {token!r}") from None
-        if len(entries) + copies > room:
+        used += copies
+        if used > room:
             raise ValueError(
                 f"sequence expands past {_MAX_ENTRIES} entries at token {token!r}")
-        if match:
-            entries.extend([entry] * copies)
-            continue
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise ValueError(f"cannot parse token {token!r}") from None
+        if not match:
+            try:
+                entry = int(token)
+            except ValueError:
+                raise ValueError(f"cannot parse token {token!r}") from None
+        yield entry, copies
+
+
+def _tokens(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+def _expand_tokens(text: str, room: int) -> list[int]:
+    """The entries of ``text`` in text order; a token past ``room`` entries in all is refused."""
+    entries: list[int] = []
+    for entry, copies in _scan_tokens(_tokens(text), room):
+        entries += repeat(entry, copies)
     return entries
+
+
+def _count_tokens(text: str, room: int) -> dict[int, int]:
+    """The count vector ``{entry: copies}`` of ``text``, refused past ``room`` entries.
+
+    The tokens are tallied by one C-level ``Counter``, and each distinct
+    token is parsed once; ``d^k`` adds k copies without expanding them.
+    A bad token, or a total past ``room``, sends the text through
+    :func:`_scan_tokens` in text order, which names the token at fault.
+    """
+    tokens = _tokens(text)
+    distinct = Counter(tokens)
+    counts: dict[int, int] = {}
+    try:
+        for (entry, copies), times in zip(_scan_tokens(distinct, math.inf),
+                                          distinct.values()):
+            counts[entry] = counts.get(entry, 0) + copies * times
+        if sum(counts.values()) <= room:
+            return counts
+    except ValueError:
+        pass
+    counts.clear()
+    for entry, copies in _scan_tokens(tokens, room):
+        counts[entry] = counts.get(entry, 0) + copies
+    return counts
 
 
 def _read_lines(path: str) -> list[str]:
@@ -104,7 +141,7 @@ def _read_lines(path: str) -> list[str]:
                 data = handle.read()
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    return [line.strip() for line in data.splitlines() if line.strip()]
+    return list(filter(None, map(str.strip, data.splitlines())))
 
 
 def _sequence_texts(args, needed: int) -> list[str]:
@@ -131,15 +168,21 @@ def _sequence_texts(args, needed: int) -> list[str]:
 
 
 def _read_sequences(args, needed: int) -> list[IntegerSequence]:
-    """Parse the texts of :func:`_sequence_texts`, dropping zeros on ``--strip-zeros``."""
+    """Parse the texts of :func:`_sequence_texts`, dropping zeros on ``--strip-zeros``.
+
+    Each text is read as its count vector and laid out run by run, highest
+    entry first, so token order does not matter and nothing is sorted.
+    """
     sequences = []
     room = _MAX_ENTRIES  # one ceiling for all the texts of a command
-    for text in _sequence_texts(args, needed):
-        entries = _expand_tokens(text, room)
-        room -= len(entries)
+    texts = _sequence_texts(args, needed)
+    texts.reverse()
+    while texts:  # a text is let go once read, so the texts and sequences do not pile up
+        counts = _count_tokens(texts.pop(), room)
+        room -= sum(counts.values())
         if args.strip_zeros:
-            entries = [e for e in entries if e != 0]
-        sequences.append(parse_sequence(entries))
+            counts.pop(0, None)
+        sequences.append(from_runs(sorted(counts.items(), reverse=True)))
     return sequences
 
 

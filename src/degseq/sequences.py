@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 
@@ -177,8 +178,10 @@ class RegularitySequence:
         object.__setattr__(self, "counts", tuple(self.counts))
         if not self.counts:
             raise ValueError("count vector must have at least one slot")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"counts must be nonnegative, got {list(self.counts)}")
+        if min(self.counts) < 0:
+            at = next(i for i, c in enumerate(self.counts) if c < 0)
+            raise ValueError(
+                f"counts must be nonnegative, got {self.counts[at]} for degree {at + 1}")
 
     @property
     def bound(self) -> int:
@@ -207,14 +210,25 @@ def to_regularity(seq: IntegerSequence, bound: int) -> RegularitySequence:
     return RegularitySequence(tuple(multiplicity.get(i, 0) for i in range(1, bound + 1)))
 
 
+def from_runs(runs: Iterable[tuple[int, int]]) -> IntegerSequence:
+    """The sequence that repeats each ``value`` ``copies`` times, run by run.
+
+    ``runs`` holds ``(value, copies)`` pairs, highest value first; the
+    entries are laid down in that order and nothing is sorted, so the
+    cost is O(n) in C plus one step per run. :class:`IntegerSequence`
+    rejects an entry below 1 or runs out of order.
+    """
+    entries: list[int] = []
+    for value, copies in runs:
+        entries += repeat(value, copies)
+    return IntegerSequence(tuple(entries))
+
+
 def from_regularity(counts: RegularitySequence) -> IntegerSequence:
     """Expand a count vector back into the nonincreasing sequence it encodes."""
     if counts.vertex_count == 0:
         raise ValueError("count vector is all zeros; it encodes no sequence")
-    entries: list[int] = []
-    for degree in range(counts.bound, 0, -1):
-        entries.extend([degree] * counts.counts[degree - 1])
-    return IntegerSequence(tuple(entries))
+    return from_runs(zip(range(counts.bound, 0, -1), counts.descending))
 
 
 def leq_pointwise(first: RegularitySequence, second: RegularitySequence) -> bool:

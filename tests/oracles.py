@@ -15,7 +15,12 @@ from itertools import accumulate, combinations, permutations
 import numpy as np
 
 from degseq.graphs import SimpleGraph
-from degseq.sequences import GraphicalityVerdict, IntegerSequence, erdos_gallai_check
+from degseq.sequences import (
+    GraphicalityVerdict,
+    IntegerSequence,
+    erdos_gallai_check,
+    parse_sequence,
+)
 
 _MULTISET_CACHE: dict[int, set[tuple[int, ...]]] = {}
 
@@ -202,6 +207,25 @@ def expand_tokens_one_by_one(text: str, room: int, ceiling: int) -> list[int]:
         except ValueError:
             raise ValueError(f"cannot parse token {token!r}") from None
     return entries
+
+
+def read_by_expanding(texts: list[str], ceiling: int,
+                      strip_zeros: bool) -> list[IntegerSequence]:
+    """Expand every text token by token and sort it, as the CLI read sequences before.
+
+    The texts share one budget of ``ceiling`` entries, zeros count toward
+    it before ``strip_zeros`` drops them. Kept as the reference for
+    ``cli._read_sequences``, whose sequences and messages must equal these.
+    """
+    room = ceiling
+    sequences = []
+    for text in texts:
+        entries = expand_tokens_one_by_one(text, room, ceiling)
+        room -= len(entries)
+        if strip_zeros:
+            entries = [e for e in entries if e != 0]
+        sequences.append(parse_sequence(entries))
+    return sequences
 
 
 def random_graphic_sequence(rng: random.Random, max_entry: int,

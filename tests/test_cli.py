@@ -1,6 +1,9 @@
 import io
 import json
+import random
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +14,7 @@ from degseq.cli import main
 from degseq.graphs import from_edge_list_text, from_json_dict
 from degseq.rao import RaoWitness
 from degseq.sequences import parse_sequence
-from oracles import expand_tokens_one_by_one
+from oracles import erdos_gallai_every_k, expand_tokens_one_by_one, read_by_expanding
 
 
 def run_cli(*argv, stdin=None):
@@ -544,3 +547,122 @@ class TestExpandTokens:
 
         assert outcome(cli._expand_tokens) == outcome(expand_tokens_one_by_one,
                                                       cli._MAX_ENTRIES)
+
+
+_ENTRY_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.builds("{}^{}".format, st.integers(-1, 6), st.integers(0, 4)),
+    st.sampled_from(["+4", "03", "1_0", "-0", "02^2"]),
+)
+_BAD_TOKENS = st.sampled_from(["x", "3.0", "1e2", "^", "1^", "2^-1", "+4^2", "2^^2"])
+_SEPARATED = st.lists(st.tuples(st.one_of(_ENTRY_TOKENS, _ENTRY_TOKENS, _BAD_TOKENS),
+                                st.sampled_from([",", " ", " , ", "\t"])),
+                      max_size=10).map(lambda pairs: "".join(t + sep for t, sep in pairs))
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadSequences:
+    """The count-vector reader against expanding every token and sorting."""
+
+    @settings(max_examples=500)
+    @given(texts=st.lists(_SEPARATED, min_size=1, max_size=2), strip_zeros=st.booleans(),
+           ceiling=st.integers(0, 20))
+    @example(texts=["2,x,1^30", "1"], strip_zeros=False, ceiling=20)
+    @example(texts=["0,2^3,0", "1,0,-1"], strip_zeros=True, ceiling=20)
+    @example(texts=["1^4,3", "1^4"], strip_zeros=False, ceiling=6)
+    def test_same_sequences_or_message_as_expanding_and_sorting(self, texts, strip_zeros,
+                                                                ceiling):
+        # two texts are the two arguments of compare, which share one ceiling
+        args = Namespace(file=None, sequence=texts, strip_zeros=strip_zeros)
+        with patch.object(cli, "_MAX_ENTRIES", ceiling):
+            got = outcome(cli._read_sequences, args, len(texts))
+        assert got == outcome(read_by_expanding, texts, ceiling, strip_zeros)
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        scanned = []
+
+        def recording(tokens, room):
+            tokens = list(tokens)
+            scanned.append(tokens)
+            return real(tokens, room)
+
+        real = cli._scan_tokens
+        monkeypatch.setattr(cli, "_scan_tokens", recording)
+        args = Namespace(file=None, sequence=["3 1,3^2 1 03"] * 1000, strip_zeros=False)
+        [seq] = cli._read_sequences(args, 1)
+        assert scanned == [["3", "1", "3^2", "03"]]
+        assert seq.entries == (3,) * 4000 + (1,) * 2000
+
+
+def expand_sort_and_check(path, ceiling: int, strip_zeros: bool) -> tuple[int, str, str]:
+    """What check --file prints when every line is expanded, sorted and checked on its own."""
+    with open(path) as handle:
+        texts = [line.strip() for line in handle.read().splitlines() if line.strip()]
+    try:
+        sequences = read_by_expanding(texts, ceiling, strip_zeros)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    out, status = [], 0
+    for seq in sequences:
+        verdict = erdos_gallai_every_k(seq)
+        if verdict.graphic:
+            out.append("graphic\n")
+            continue
+        status = 1
+        if verdict.failing_index is None:
+            out.append("not graphic (odd degree sum)\n")
+        else:
+            out.append(f"not graphic (k={verdict.failing_index}:"
+                       f" {verdict.lhs} > {verdict.rhs})\n")
+    return status, "".join(out), ""
+
+
+def shuffled_lines(rng: random.Random, count: int, zeros: bool) -> list[str]:
+    """Graphic, odd-sum and Erdos-Gallai-failing lines, tokens shuffled, separators mixed."""
+    lines = []
+    for index in range(count):
+        n = rng.randint(1, 300)
+        if index % 3 == 2:  # a few entries too large for the rest to absorb
+            k0 = rng.randint(1, 5)
+            entries = [k0 + 1 + n] * k0 + [rng.randint(1, 2) for _ in range(n)]
+        else:
+            entries = [rng.randint(1, rng.randint(1, 12)) for _ in range(n)]
+        if index % 3 == 0 and sum(entries) % 2:
+            entries.append(1)
+        entries += [0] * (rng.randint(0, 3) if zeros else 0)
+        tokens = [str(e) for e in entries]
+        for value in set(entries):  # some equal entries as one power token
+            if rng.random() < 0.3:
+                copies = entries.count(value)
+                tokens = [t for t in tokens if t != str(value)] + [f"{value}^{copies}"]
+        rng.shuffle(tokens)
+        lines.append("".join(t + rng.choice([",", " ", ", ", "\t"]) for t in tokens))
+    return lines
+
+
+class TestCheckFileMatchesExpandingAndSorting:
+    @pytest.mark.parametrize("fault, flags", [
+        (None, ()), ("zeros", ("--strip-zeros",)), ("zeros", ()),
+        ("bad token", ()), ("ceiling", ()),
+    ])
+    def test_same_bytes_and_exit_code(self, tmp_path, monkeypatch, fault, flags):
+        rng = random.Random(f"check-file/{fault}")
+        lines = shuffled_lines(rng, 40, zeros=fault == "zeros")
+        if fault == "bad token":
+            lines[25] = lines[25].replace(",", ",x,", 1) + " 2"
+        ceiling = cli._MAX_ENTRIES
+        if fault == "ceiling":
+            ceiling = sum(len(expand_tokens_one_by_one(line, 10 ** 9, 10 ** 9))
+                          for line in lines[:30])
+            monkeypatch.setattr(cli, "_MAX_ENTRIES", ceiling)
+        path = tmp_path / "lines.txt"
+        path.write_text("\n  \n".join(lines) + "\n\n")
+        got = run_cli("check", *flags, "--file", str(path))
+        assert got == expand_sort_and_check(path, ceiling, "--strip-zeros" in flags)
+        assert got[0] == {None: 1, "zeros": 1 if flags else 2}.get(fault, 2)

@@ -8,6 +8,7 @@ from degseq.sequences import (
     erdos_gallai_check,
     erdos_gallai_sides,
     from_regularity,
+    from_runs,
     leq_pointwise,
     parse_sequence,
     sufficient_by_length,
@@ -184,6 +185,30 @@ class TestRegularity:
     def test_decode_rejects_all_zero(self):
         with pytest.raises(ValueError):
             from_regularity(RegularitySequence((0, 0, 0)))
+
+    def test_negative_count_names_its_degree(self):
+        with pytest.raises(ValueError) as excinfo:
+            RegularitySequence((1,) * 100_000 + (-1,))
+        assert str(excinfo.value) == "counts must be nonnegative, got -1 for degree 100001"
+        with pytest.raises(ValueError, match="got -2 for degree 2$"):
+            RegularitySequence((0, -2, -1))
+
+    @given(st.lists(st.tuples(st.integers(-2, 6), st.integers(0, 4)), max_size=6))
+    def test_runs_lay_down_the_sorted_entries(self, runs):
+        runs = sorted(dict(runs).items(), reverse=True)
+        raw = [value for value, copies in runs for _ in range(copies)]
+
+        def outcome(build, arg):
+            try:
+                return build(arg)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(from_runs, runs) == outcome(parse_sequence, raw)
+
+    def test_runs_out_of_order_are_refused(self):
+        with pytest.raises(ValueError, match="nonincreasing"):
+            from_runs([(1, 2), (2, 1)])
 
     @given(sequences, st.integers(0, 4))
     def test_round_trip(self, seq, slack):
